@@ -7,15 +7,13 @@ Subcommands:
 * ``filtration <file>``-- spectral-model property run for one file.
 
 Exit codes: 0 all reports pass, 1 at least one mathematical mismatch,
-2 input error (parse or schema).  Scenarios run concurrently up to
-``--jobs``; reports are always emitted in input order.
+2 input error (parse or schema).  Reports are emitted in input order.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .errors import ParseError, SchemaError, TraceLabError
@@ -46,8 +44,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="override the scenario seed")
         p.add_argument("--emit", choices=["table", "structured"], default="table",
                        help="report format")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="run up to this many scenarios concurrently")
 
     p_verify = sub.add_parser("verify", help="verify scenario files")
     p_verify.add_argument("files", nargs="+")
@@ -69,18 +65,7 @@ def _run_paths(paths, args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(
-                    pool.map(
-                        lambda s: run(s, args.backend, args.tolerance, args.seed),
-                        scenarios,
-                    )
-                )
-        else:
-            reports = [
-                run(s, args.backend, args.tolerance, args.seed) for s in scenarios
-            ]
+        reports = [run(s, args.backend, args.tolerance, args.seed) for s in scenarios]
     except (ParseError, SchemaError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -97,9 +82,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return _run_paths(args.files, args)
     if args.command == "suite":
-        with resources.as_file(resources.files("tracelab").joinpath("scenarios")) as root:
-            paths = sorted(str(p) for p in root.glob("*.json"))
-        return _run_paths(paths, args)
+        return _run_paths([str(p) for p in bundled_scenario_paths()], args)
     if args.command == "filtration":
         try:
             scenario = load_scenario(args.file)

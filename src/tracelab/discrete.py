@@ -40,13 +40,12 @@ from .groups import (
 )
 from .linalg import Matrix
 from .scalars import (
-    APPROX,
     DEFAULT_CONTEXT,
     EXACT,
-    GR_ONE,
-    GR_ZERO,
-    GaussianRational,
     ToleranceContext,
+    coerce,
+    one,
+    zero,
 )
 from .spectral import (
     AdmissibleModel,
@@ -58,6 +57,9 @@ from .spectral import (
 )
 
 MAX_INDUCED_DIM = 2000
+
+# default approx agreement of the three sides, relative above unit scale
+DEFAULT_SIDE_TOLERANCE = 1e-9
 
 
 class Twist:
@@ -85,15 +87,8 @@ class Twist:
                 raise ValueError("twist images must be square of equal size")
             if im.backend != self.backend:
                 raise BackendMismatch("twist images on mixed backends")
-            if im.backend == EXACT:
-                if not im.det():
-                    raise RelationViolation("twist image is singular")
-            else:
-                import numpy as np
-
-                sv = np.linalg.svd(im.to_numpy(), compute_uv=False)
-                if sv[-1] <= self.context.zero_threshold(sv[0]):
-                    raise RelationViolation("twist image is singular within tolerance")
+            if not im.is_invertible(self.context):
+                raise RelationViolation("twist image is singular")
         kind = subgroup.group.kind
         if len(self.images) != len(subgroup.gamma_generators):
             raise ValueError(
@@ -109,17 +104,6 @@ class Twist:
                 raise ValueError("free-group twists require a kernel subgroup")
         else:
             raise ValueError(f"unknown family {kind}")
-
-    def _matrices_agree(self, a: Matrix, b: Matrix) -> bool:
-        if self.backend == EXACT:
-            return a == b
-        scale = max(a.scale_bound(), b.scale_bound(), 1.0)
-        thr = self.context.zero_threshold(scale) * 10
-        return all(
-            abs(x - y) <= thr
-            for rx, ry in zip(a.entries, b.entries)
-            for x, y in zip(rx, ry)
-        )
 
     def _build_finite_table(self):
         group = self.subgroup.group
@@ -139,7 +123,7 @@ class Twist:
                     if known is None:
                         table[target] = candidate
                         nxt.append(target)
-                    elif not self._matrices_agree(known, candidate):
+                    elif not known.agrees_with(candidate, self.context):
                         raise RelationViolation(
                             f"twist images violate the relation at {target!r}"
                         )
@@ -154,7 +138,7 @@ class Twist:
     def _check_commuting(self):
         for i, a in enumerate(self.images):
             for b in self.images[i + 1 :]:
-                if not self._matrices_agree(a @ b, b @ a):
+                if not (a @ b).agrees_with(b @ a, self.context):
                     raise RelationViolation("lattice twist images must commute")
 
     def omega(self, gamma) -> Matrix:
@@ -208,10 +192,7 @@ class DiscreteTestFunction:
         canonical = {}
         for element, coeff in support:
             key = tuple(element)
-            if backend == EXACT and not isinstance(coeff, GaussianRational):
-                coeff = GaussianRational(coeff)
-            if backend == APPROX:
-                coeff = complex(coeff)
+            coeff = coerce(coeff, backend)
             if key in canonical:
                 canonical[key] = canonical[key] + coeff
             else:
@@ -224,7 +205,7 @@ class DiscreteTestFunction:
         for elt, coeff in self.support:
             if elt == key:
                 return coeff
-        return GR_ZERO if self.backend == EXACT else 0.0 + 0.0j
+        return zero(self.backend)
 
     def conjugated_by(self, g, group) -> "DiscreteTestFunction":
         """x -> f(g^-1 x g); support moves to g (supp) g^-1."""
@@ -238,7 +219,7 @@ class DiscreteTestFunction:
 
 def delta_function(element, backend=EXACT, coeff=None) -> DiscreteTestFunction:
     if coeff is None:
-        coeff = GR_ONE if backend == EXACT else 1.0 + 0.0j
+        coeff = one(backend)
     return DiscreteTestFunction([(element, coeff)], backend)
 
 
@@ -267,9 +248,8 @@ def _induced_operator(subgroup, twist, element) -> Matrix:
     index = subgroup.index
     dv = twist.dim
     backend = twist.backend
-    zero = GR_ZERO if backend == EXACT else 0.0 + 0.0j
     n = index * dv
-    grid = [[zero] * n for _ in range(n)]
+    grid = [[zero(backend)] * n for _ in range(n)]
     for i in range(index):
         j, gamma = subgroup.coset_action(element, i)
         block = twist.omega(gamma)
@@ -297,21 +277,10 @@ def induce(subgroup: FiniteIndexSubgroup, twist: Twist, context: ToleranceContex
     gens = list(group.generators)
     images = [_induced_operator(subgroup, twist, g) for g in gens]
     ctx = context
-
-    def close(a: Matrix, b: Matrix) -> bool:
-        if a.backend == EXACT:
-            return a == b
-        scale = max(a.scale_bound(), b.scale_bound(), 1.0)
-        return all(
-            abs(x - y) <= ctx.zero_threshold(scale) * 10
-            for rx, ry in zip(a.entries, b.entries)
-            for x, y in zip(rx, ry)
-        )
-
     for gi, g in zip(images, gens):
         for hj, h in zip(images, gens):
             prod = group.multiply(g, h)
-            if not close(gi @ hj, _induced_operator(subgroup, twist, prod)):
+            if not (gi @ hj).agrees_with(_induced_operator(subgroup, twist, prod), ctx):
                 raise IllFormedCosetAction(
                     "induced operators violate the homomorphism property"
                 )
@@ -324,7 +293,7 @@ def induce(subgroup: FiniteIndexSubgroup, twist: Twist, context: ToleranceContex
         for k in word:
             elt = group.multiply(elt, gens[k])
             op = op @ images[k]
-        if not close(op, _induced_operator(subgroup, twist, elt)):
+        if not op.agrees_with(_induced_operator(subgroup, twist, elt), ctx):
             raise IllFormedCosetAction(
                 "induced operators violate the homomorphism property on a word"
             )
@@ -517,8 +486,7 @@ def orbital_sum(group, gamma, f: DiscreteTestFunction):
     With counting measure the cosets of the centralizer biject with the
     conjugates, so the orbital integral is this class sum.
     """
-    zero = GR_ZERO if f.backend == EXACT else 0.0 + 0.0j
-    total = zero
+    total = zero(f.backend)
     for element, coeff in f.support:
         if conjugacy_test(group, gamma, element):
             total = total + coeff
@@ -537,18 +505,14 @@ class GeometricTerm:
 
 def geometric_side_discrete(subgroup: FiniteIndexSubgroup, twist: Twist, f: DiscreteTestFunction):
     """Conjugacy-class sum vol * orbital * tr(omega); returns (value, terms)."""
-    zero = GR_ZERO if twist.backend == EXACT else 0.0 + 0.0j
     classes = conjugacy_classes_meeting(subgroup, [x for x, _ in f.support])
-    total = zero
+    total = zero(twist.backend)
     terms = []
     for cls in classes:
         vol = centralizer_volume(subgroup, cls.representative)
         orb = orbital_sum(subgroup.group, cls.representative, f)
         tr = twist.trace_at(cls.representative)
-        if twist.backend == EXACT:
-            value = GaussianRational(vol) * orb * tr
-        else:
-            value = vol * orb * tr
+        value = vol * orb * tr
         total = total + value
         terms.append(
             GeometricTerm(cls.representative, vol, orb, tr, value, cls.description)
@@ -578,7 +542,8 @@ def verify_discrete(
     """Three-way check: direct trace = spectral side = geometric side.
 
     Exact backend: literal equalities.  Approx backend: agreement within
-    ``tolerance`` (default 1e-9, absolute above unit scale).
+    ``tolerance`` (default ``DEFAULT_SIDE_TOLERANCE``, relative above unit
+    scale).
     """
     rep = induce(subgroup, twist, context)
     f_op = operator_of_test_function(rep, f)
@@ -598,7 +563,7 @@ def verify_discrete(
         if geometric != direct:
             failures.append(f"geometric {geometric} != direct {direct}")
     else:
-        tol = 1e-9 if tolerance is None else tolerance
+        tol = DEFAULT_SIDE_TOLERANCE if tolerance is None else tolerance
         slack = tol * max(1.0, abs(direct))
         note = (
             f"allowed slack = tolerance {tol:g} * max(1, |direct trace|); "

@@ -23,6 +23,7 @@ from .errors import (
     BackendMismatch,
     ExactEigenvalueNotInField,
     NonConvergence,
+    NotStable,
     SizeLimit,
     SpectralPole,
 )
@@ -35,7 +36,10 @@ from .scalars import (
     GaussianRational,
     ToleranceContext,
     backend_of,
+    coerce,
+    one,
     same_backend,
+    zero,
 )
 
 MAX_EIGEN_DIM = 2000
@@ -77,16 +81,12 @@ class Matrix:
 
     @staticmethod
     def identity(n: int, backend: str) -> "Matrix":
-        one = GR_ONE if backend == EXACT else 1.0 + 0.0j
-        zero = GR_ZERO if backend == EXACT else 0.0 + 0.0j
-        return Matrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], backend
-        )
+        on, off = one(backend), zero(backend)
+        return Matrix([[on if i == j else off for j in range(n)] for i in range(n)], backend)
 
     @staticmethod
     def zeros(rows: int, cols: int, backend: str) -> "Matrix":
-        zero = GR_ZERO if backend == EXACT else 0.0 + 0.0j
-        return Matrix([[zero] * cols for _ in range(rows)], backend)
+        return Matrix([[zero(backend)] * cols for _ in range(rows)], backend)
 
     @staticmethod
     def from_columns(columns, backend=None) -> "Matrix":
@@ -100,8 +100,7 @@ class Matrix:
     def block_diag(blocks) -> "Matrix":
         backend = same_backend(*[b.backend for b in blocks])
         n = sum(b.rows for b in blocks)
-        zero = GR_ZERO if backend == EXACT else 0.0 + 0.0j
-        grid = [[zero] * n for _ in range(n)]
+        grid = [[zero(backend)] * n for _ in range(n)]
         at = 0
         for b in blocks:
             for i in range(b.rows):
@@ -115,9 +114,6 @@ class Matrix:
         return Matrix([[complex(x) for x in row] for row in array], APPROX)
 
     # -- basic algebra -----------------------------------------------------
-
-    def _zero(self):
-        return GR_ZERO if self.backend == EXACT else 0.0 + 0.0j
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
@@ -143,10 +139,7 @@ class Matrix:
         return Matrix([[-a for a in row] for row in self.entries], self.backend)
 
     def scale(self, scalar) -> "Matrix":
-        if self.backend == APPROX:
-            scalar = complex(scalar)
-        elif not isinstance(scalar, GaussianRational):
-            scalar = GaussianRational(scalar)
+        scalar = coerce(scalar, self.backend)
         return Matrix([[scalar * a for a in row] for row in self.entries], self.backend)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -170,9 +163,9 @@ class Matrix:
         """Matrix-vector product (vector as a tuple of scalars)."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = self._zero()
+        start = zero(self.backend)
         return tuple(
-            sum((a * v for a, v in zip(row, vector)), zero) for row in self.entries
+            sum((a * v for a, v in zip(row, vector)), start) for row in self.entries
         )
 
     def power(self, k: int) -> "Matrix":
@@ -193,8 +186,7 @@ class Matrix:
         return Matrix(list(zip(*self.entries)), self.backend)
 
     def trace(self):
-        zero = self._zero()
-        return sum((self.entries[i][i] for i in range(self.rows)), zero)
+        return sum((self.entries[i][i] for i in range(self.rows)), zero(self.backend))
 
     @property
     def shape(self):
@@ -247,8 +239,7 @@ class Matrix:
     def is_zero(self, ctx: ToleranceContext = DEFAULT_CONTEXT) -> bool:
         if self.backend == EXACT:
             return all(not x for row in self.entries for x in row)
-        thr = ctx.zero_threshold()
-        return all(abs(x) <= thr for row in self.entries for x in row)
+        return all(ctx.is_zero(x) for row in self.entries for x in row)
 
     def columns(self):
         return [tuple(row[j] for row in self.entries) for j in range(self.cols)]
@@ -281,40 +272,57 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         if self.backend == APPROX:
-            a = self.to_numpy()
-            sv = np.linalg.svd(a, compute_uv=False)
-            if sv[-1] <= ctx.zero_threshold(sv[0] if len(sv) else 1.0):
+            if not self.is_invertible(ctx):
                 raise SpectralPole("matrix is singular within tolerance")
-            return Matrix.from_numpy(np.linalg.inv(a))
+            return Matrix.from_numpy(np.linalg.inv(self.to_numpy()))
         sol = solve_exact(self, Matrix.identity(self.rows, EXACT))
         if sol is None:
             raise SpectralPole("matrix is exactly singular")
         return sol
 
+    def is_invertible(self, ctx: ToleranceContext = DEFAULT_CONTEXT) -> bool:
+        """Exact: nonzero determinant.  Approx: the smallest singular value
+        clears the tolerance relative to the largest.  A non-square matrix
+        is never invertible."""
+        if self.rows != self.cols:
+            return False
+        if self.backend == EXACT:
+            return bool(self.det())
+        sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
+        return bool(sv[-1] > ctx.zero_threshold(sv[0]))
 
-def vector_backend(vector) -> str:
-    return backend_of(vector[0])
+    def agrees_with(self, other: "Matrix", ctx: ToleranceContext = DEFAULT_CONTEXT) -> bool:
+        """Exact: equality.  Approx: every entry within ten zero thresholds
+        at the larger entry scale of the two matrices."""
+        if self.backend == EXACT:
+            return self == other
+        scale = max(self.scale_bound(), other.scale_bound(), 1.0)
+        thr = ctx.zero_threshold(scale) * 10
+        return all(
+            abs(x - y) <= thr
+            for rx, ry in zip(self.entries, other.entries)
+            for x, y in zip(rx, ry)
+        )
 
+    def lower_blocks_negligible(self, offsets, factor, ctx: ToleranceContext = DEFAULT_CONTEXT, scale_with=()) -> bool:
+        """Whether the blocks below the diagonal vanish.
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v, ctx: ToleranceContext = DEFAULT_CONTEXT) -> bool:
-    if not v:
-        return True
-    if vector_backend(v) == EXACT:
-        return all(not x for x in v)
-    thr = ctx.zero_threshold()
-    return all(abs(x) <= thr for x in v)
+        ``offsets`` cut the rows and columns into diagonal blocks (first 0,
+        last the size).  Exact: every entry below them is zero.  Approx:
+        none exceeds ``factor`` zero thresholds at the entry scale of this
+        matrix and of ``scale_with``.
+        """
+        below = (
+            self.entries[i][j]
+            for lo, hi in zip(offsets, offsets[1:])
+            for i in range(hi, self.rows)
+            for j in range(lo, hi)
+        )
+        if self.backend == EXACT:
+            return not any(below)
+        scale = max(self.scale_bound(), *(m.scale_bound() for m in scale_with), 1.0)
+        thr = ctx.zero_threshold(scale) * factor
+        return not any(abs(x) > thr for x in below)
 
 
 class Span:
@@ -350,6 +358,14 @@ class Span:
                 v = [a - factor * b for a, b in zip(v, row)]
         return v
 
+    def _residual(self, v, passes: int = 2):
+        """Approx: ``v`` (an array) minus its projection onto the span, by
+        ``passes`` sweeps of Gram-Schmidt over the unit rows."""
+        for _ in range(passes):
+            for row in self._np_rows:
+                v = v - np.vdot(row, v) * row
+        return v
+
     def add(self, vector) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         if self.backend == EXACT:
@@ -372,13 +388,11 @@ class Span:
             return True
         v = np.array(vector, dtype=complex)
         norm0 = np.linalg.norm(v)
-        if norm0 <= self.ctx.zero_threshold():
+        if self.ctx.is_zero(norm0):
             return False
-        for _ in range(2):
-            for row in self._np_rows:
-                v = v - np.vdot(row, v) * row
+        v = self._residual(v)
         res = np.linalg.norm(v)
-        if res <= self.ctx.eps * max(1.0, norm0):
+        if self.ctx.is_zero(res, norm0):
             return False
         self._np_rows.append(v / res)
         return True
@@ -388,18 +402,43 @@ class Span:
             return all(not x for x in self._reduce_exact(vector))
         v = np.array(vector, dtype=complex)
         norm0 = np.linalg.norm(v)
-        if norm0 <= self.ctx.zero_threshold():
+        if self.ctx.is_zero(norm0):
             return True
-        for _ in range(2):
-            for row in self._np_rows:
-                v = v - np.vdot(row, v) * row
-        return np.linalg.norm(v) <= self.ctx.eps * max(1.0, norm0)
-
-    def contains_all(self, vectors) -> bool:
-        return all(self.contains(v) for v in vectors)
+        return self.ctx.is_zero(np.linalg.norm(self._residual(v)), norm0)
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
+
+    def extend_to_full(self):
+        """Add standard unit vectors until the span is full; returns them.
+
+        Exact: the first independent ones in index order.  Approx: greedy
+        max-residual choice, which keeps the change of basis
+        well-conditioned (a near-parallel complement would amplify
+        round-off into stability defects).
+        """
+        units = Matrix.identity(self.ambient_dim, self.backend).columns()
+        added = []
+        if self.backend == EXACT:
+            for e in units:
+                if self.is_full():
+                    break
+                if self.add(e):
+                    added.append(e)
+            return added
+        while not self.is_full():
+            best_idx = None
+            best_res = -1.0
+            for i, e in enumerate(units):
+                res = float(np.linalg.norm(self._residual(np.array(e, dtype=complex), passes=1)))
+                if res > best_res + 1e-12:
+                    best_res = res
+                    best_idx = i
+            e = units[best_idx]
+            if not self.add(e):
+                raise NotStable("cannot extend basis to the full space")
+            added.append(e)
+        return added
 
 
 def span_of(vectors, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CONTEXT) -> Span:
@@ -473,10 +512,7 @@ def nullspace(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
     if m.cols == 0:
         return []
     if m.rows == 0:
-        return [
-            tuple(1.0 + 0j if i == j else 0j for i in range(m.cols))
-            for j in range(m.cols)
-        ]
+        return Matrix.identity(m.cols, APPROX).columns()
     a = m.to_numpy()
     _, sv, vh = np.linalg.svd(a)
     scale = sv[0] if len(sv) else 1.0
@@ -565,6 +601,26 @@ def _poly_deflate(coeffs, root):
     return out
 
 
+def factor_gaussian(coeffs):
+    """Factor a polynomial (highest power first) over Q(i).
+
+    Returns (monic factor coefficients, multiplicity) pairs in sympy's
+    order; one ``factor_list`` call.
+    """
+    n = len(coeffs) - 1
+    expr = sum(
+        (_to_sympy(c) * _X ** (n - k) for k, c in enumerate(coeffs)),
+        sympy.Integer(0),
+    )
+    poly = sympy.Poly(expr, _X, domain="QQ_I")
+    out = []
+    for factor, mult in poly.factor_list()[1]:
+        fac = [_from_sympy(sympy.expand(sympy.together(c))) for c in factor.all_coeffs()]
+        lead = fac[0]
+        out.append(([c / lead for c in fac], int(mult)))
+    return out
+
+
 # candidate roots worth a cheap exact evaluation before full factoring
 _FAST_ROOT_CANDIDATES = [
     GaussianRational(v_re, v_im)
@@ -574,6 +630,16 @@ _FAST_ROOT_CANDIDATES = [
         (0, 2), (0, -2), (2, 2), (-2, -2),
     ]
 ]
+
+
+def root_candidates(extra=()):
+    """``extra`` (e.g. matrix diagonal entries) then the common small
+    Gaussian integers, without repeats."""
+    candidates = []
+    for cand in list(extra) + _FAST_ROOT_CANDIDATES:
+        if cand not in candidates:
+            candidates.append(cand)
+    return candidates
 
 
 def gaussian_rational_roots(coeffs, extra_candidates=()):
@@ -588,10 +654,7 @@ def gaussian_rational_roots(coeffs, extra_candidates=()):
     """
     work = list(coeffs)
     found = {}
-    candidates = []
-    for cand in list(extra_candidates) + _FAST_ROOT_CANDIDATES:
-        if cand not in candidates:
-            candidates.append(cand)
+    candidates = root_candidates(extra_candidates)
     progress = True
     while progress and len(work) > 1:
         progress = False
@@ -602,19 +665,12 @@ def gaussian_rational_roots(coeffs, extra_candidates=()):
                 progress = True
     leftover = 0
     if len(work) > 1:
-        n = len(work) - 1
-        expr = sum(
-            (_to_sympy(c) * _X ** (n - k) for k, c in enumerate(work)),
-            sympy.Integer(0),
-        )
-        poly = sympy.Poly(expr, _X, domain="QQ_I")
-        for factor, mult in poly.factor_list()[1]:
-            if factor.degree() == 1:
-                a, b = factor.all_coeffs()
-                root = _from_sympy(sympy.expand(sympy.together(-b / a)))
-                found[root] = found.get(root, 0) + int(mult)
+        for factor, mult in factor_gaussian(work):
+            if len(factor) == 2:
+                root = -factor[1]
+                found[root] = found.get(root, 0) + mult
             else:
-                leftover += factor.degree() * mult
+                leftover += (len(factor) - 1) * mult
     roots = sorted(found.items(), key=lambda item: (item[0].re, item[0].im))
     return roots, leftover
 
@@ -814,13 +870,13 @@ def intertwiner_space(a_gens, b_gens, ctx: ToleranceContext = DEFAULT_CONTEXT):
     for g in b_gens:
         if g.shape != (b_dim, b_dim):
             raise ValueError("B-generators must be square of equal size")
-    zero = GR_ZERO if backend == EXACT else 0.0 + 0.0j
+    start = zero(backend)
     unknowns = b_dim * a_dim  # T[r][c] -> index r*a_dim + c
     rows = []
     for a, b in zip(a_gens, b_gens):
         for r in range(b_dim):
             for c in range(a_dim):
-                row = [zero] * unknowns
+                row = [start] * unknowns
                 for v in range(a_dim):
                     row[r * a_dim + v] = row[r * a_dim + v] + a.entries[v][c]
                 for u in range(b_dim):

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .discrete import (
+    DEFAULT_SIDE_TOLERANCE,
     DiscreteTestFunction,
     Twist,
     verify_discrete,
@@ -33,17 +34,15 @@ from .linalg import Matrix
 from .scalars import (
     APPROX,
     EXACT,
-    GaussianRational,
     ToleranceContext,
+    coerce,
     format_complex,
     parse_gaussian_rational,
 )
 from .spectral import (
     composition_series_data,
     model as make_model,
-    multiplicity,
     multiplicity_table,
-    pi_class,
     random_pi_filtration_length,
     spectrum,
 )
@@ -147,25 +146,19 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
 
 
 def _parse_scalar(value, backend: str, where: str):
+    if isinstance(value, str):
+        try:
+            return coerce(parse_gaussian_rational(value), backend)
+        except ParseError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    if isinstance(value, int):
+        return coerce(value, backend)
     if backend == EXACT:
-        if isinstance(value, str):
-            try:
-                return parse_gaussian_rational(value)
-            except ParseError as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-        if isinstance(value, int):
-            return GaussianRational(value)
         raise SchemaError(
             f"{where}: exact scalars must be rational strings or integers, "
             f"got {value!r} (floats would launder precision)"
         )
-    if isinstance(value, str):
-        try:
-            g = parse_gaussian_rational(value)
-        except ParseError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-        return g.to_complex()
-    if isinstance(value, (int, float)):
+    if isinstance(value, float):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
@@ -251,8 +244,6 @@ def _build_twist(subgroup, spec, backend, where="twist") -> Twist:
     for i, im in enumerate(images):
         if im.rows != im.cols:
             raise SchemaError(f"{where}.images[{i}]: must be square")
-        if backend == EXACT and not im.det():
-            raise SchemaError(f"{where}.images[{i}]: twist image singular")
     try:
         return Twist(subgroup, images, label=spec.get("label", "omega"))
     except TraceLabError as exc:
@@ -341,7 +332,7 @@ def _build_payload(scenario: Scenario, backend_override: str | None = None):
     for i, g in enumerate(gens):
         if g.shape != delta.shape:
             raise SchemaError(f"generators[{i}]: shape differs from delta")
-        if backend == EXACT and not g.det():
+        if not g.is_invertible():
             raise SchemaError(f"generators[{i}]: singular generator image")
     return {"generators": gens, "delta": delta, "backend": backend}
 
@@ -399,7 +390,7 @@ def _run_discrete(scenario, backend_override, tolerance, seed) -> TraceReport:
     tol_note = (
         "exact equality required"
         if backend == EXACT
-        else f"|difference| <= {tolerance if tolerance is not None else 1e-9:g} * max(1, scale)"
+        else f"|difference| <= {tolerance if tolerance is not None else DEFAULT_SIDE_TOLERANCE:g} * max(1, scale)"
     )
     report = TraceReport(
         scenario_id=scenario.id,

@@ -193,6 +193,35 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
+
+def coerce(value, backend: str):
+    """``value`` as a scalar of ``backend``.
+
+    Exact: a :class:`GaussianRational` (ints and Fractions are converted).
+    Approx: a Python ``complex``; Gaussian rationals are demoted through
+    :meth:`GaussianRational.to_complex`, never the reverse.
+    """
+    if backend == EXACT:
+        return value if isinstance(value, GaussianRational) else GaussianRational(value)
+    if isinstance(value, GaussianRational):
+        return value.to_complex()
+    return complex(value)
+
+
+# coerced once: zero() seeds every Matrix.apply and trace sum
+_ZERO = {backend: coerce(GR_ZERO, backend) for backend in (EXACT, APPROX)}
+_ONE = {backend: coerce(GR_ONE, backend) for backend in (EXACT, APPROX)}
+
+
+def zero(backend: str):
+    """Additive identity of ``backend``."""
+    return _ZERO[backend]
+
+
+def one(backend: str):
+    """Multiplicative identity of ``backend``."""
+    return _ONE[backend]
+
 # "3/2-1/4i", "i", "-2", "5i" ...  one or two signed rational terms, the
 # imaginary one marked by a trailing i.
 _TERM = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*(i)?\s*")

@@ -45,13 +45,11 @@ from .errors import (
     TraceMismatch,
 )
 from .linalg import (
-    GenEigenData,
     Matrix,
     Span,
     charpoly,
-    cluster_eigenvalues,
     eigenvalues,
-    gaussian_rational_roots,
+    factor_gaussian,
     generalized_eigenspace,
     generalized_eigenspaces,
     in_field_eigenvalues,
@@ -59,16 +57,19 @@ from .linalg import (
     minimal_polynomial,
     nullspace,
     resolvent,
+    root_candidates,
+    solve_exact,
     span_of,
 )
 from .scalars import (
     APPROX,
     DEFAULT_CONTEXT,
     EXACT,
-    GR_ONE,
-    GR_ZERO,
+    GR_I,
     GaussianRational,
     ToleranceContext,
+    coerce,
+    zero,
 )
 
 
@@ -108,22 +109,12 @@ class AdmissibleModel:
                 raise BackendMismatch("generators and delta on different backends")
         ctx = self.context
         for g in self.generators:
-            if self.backend == EXACT:
-                if not g.det():
-                    raise ValueError("generator image is singular")
-            else:
-                sv = np.linalg.svd(g.to_numpy(), compute_uv=False)
-                if sv[-1] <= ctx.zero_threshold(sv[0]):
-                    raise ValueError("generator image is singular within tolerance")
+            if not g.is_invertible(ctx):
+                raise ValueError("generator image is singular")
+        ident = Matrix.identity(n, self.backend)
         for lam in self.resolvent_sample:
-            shifted = self.delta - Matrix.identity(n, self.backend).scale(lam)
-            if self.backend == EXACT:
-                if not shifted.det():
-                    raise ValueError(f"resolvent sample {lam} lies on the spectrum")
-            else:
-                sv = np.linalg.svd(shifted.to_numpy(), compute_uv=False)
-                if sv[-1] <= ctx.zero_threshold(sv[0]):
-                    raise ValueError(f"resolvent sample {lam} lies on the spectrum")
+            if not (self.delta - ident.scale(lam)).is_invertible(ctx):
+                raise ValueError(f"resolvent sample {lam} lies on the spectrum")
 
     @property
     def dim(self) -> int:
@@ -134,29 +125,23 @@ class AdmissibleModel:
         return self.delta.backend
 
 
+_RESOLVENT_CANDIDATES = (
+    GaussianRational(0, 1),
+    GaussianRational(1, 1),
+    GaussianRational(-2, 3),
+    GaussianRational(0, -5),
+    GaussianRational(7, 2),
+)
+
+
 def default_resolvent_sample(delta: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT, count: int = 2):
     """Pick non-real sample points off the spectrum of delta (an avatar of
     the dense resolvent set the admissibility axioms posit)."""
-    if delta.backend == EXACT:
-        candidates = [
-            GaussianRational(0, 1),
-            GaussianRational(1, 1),
-            GaussianRational(-2, 3),
-            GaussianRational(0, -5),
-            GaussianRational(7, 2),
-        ]
-    else:
-        candidates = [1j, 1 + 1j, -2 + 3j, -5j, 7 + 2j]
     out = []
-    n = delta.rows
-    for lam in candidates:
-        shifted = delta - Matrix.identity(n, delta.backend).scale(lam)
-        if delta.backend == EXACT:
-            ok = bool(shifted.det())
-        else:
-            sv = np.linalg.svd(shifted.to_numpy(), compute_uv=False)
-            ok = sv[-1] > ctx.zero_threshold(sv[0])
-        if ok:
+    ident = Matrix.identity(delta.rows, delta.backend)
+    for lam in _RESOLVENT_CANDIDATES:
+        lam = coerce(lam, delta.backend)
+        if (delta - ident.scale(lam)).is_invertible(ctx):
             out.append(lam)
             if len(out) == count:
                 break
@@ -188,45 +173,8 @@ class BasisSplit:
 
 
 def split_basis(vectors, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CONTEXT) -> BasisSplit:
-    span = span_of(vectors, dim, backend, ctx)
-    basis = span.basis()
-    if backend == EXACT:
-        one, zero = GR_ONE, GR_ZERO
-    else:
-        one, zero = 1.0 + 0j, 0.0 + 0j
-    complement = []
-    probe = Span(dim, backend, ctx)
-    for v in basis:
-        probe.add(v)
-    if backend == EXACT:
-        for i in range(dim):
-            if probe.dim == dim:
-                break
-            e = tuple(one if j == i else zero for j in range(dim))
-            if probe.add(e):
-                complement.append(e)
-    else:
-        # greedy max-residual extension keeps the change of basis
-        # well-conditioned (a near-parallel complement would amplify
-        # round-off into stability defects)
-        std = [
-            tuple(one if j == i else zero for j in range(dim)) for i in range(dim)
-        ]
-        while probe.dim < dim:
-            best_idx = None
-            best_res = -1.0
-            for i, e in enumerate(std):
-                vec = np.array(e, dtype=complex)
-                for row in probe._np_rows:
-                    vec = vec - np.vdot(row, vec) * row
-                res = float(np.linalg.norm(vec))
-                if res > best_res + 1e-12:
-                    best_res = res
-                    best_idx = i
-            e = std[best_idx]
-            if not probe.add(e):
-                raise NotStable("cannot extend basis to the full space")
-            complement.append(e)
+    basis = span_of(vectors, dim, backend, ctx).basis()
+    complement = span_of(basis, dim, backend, ctx).extend_to_full()
     p = Matrix.from_columns(list(basis) + complement, backend)
     return BasisSplit(tuple(basis), tuple(complement), p, p.inverse(ctx))
 
@@ -236,17 +184,7 @@ def transported_blocks(m: Matrix, split: BasisSplit, ctx: ToleranceContext = DEF
     d = split.sub_dim
     t = split.p_inv @ m @ split.p
     n = m.rows
-    defect_scale = 0.0
-    if m.backend == APPROX:
-        scale = max(t.scale_bound(), m.scale_bound(), 1.0)
-        for i in range(d, n):
-            for j in range(d):
-                defect_scale = max(defect_scale, abs(t.entries[i][j]))
-        stable = defect_scale <= ctx.zero_threshold(scale) * 10.0
-    else:
-        stable = all(
-            not t.entries[i][j] for i in range(d, n) for j in range(d)
-        )
+    stable = t.lower_blocks_negligible((0, d, n), 10.0, ctx, scale_with=(m,))
     restriction = Matrix([row[:d] for row in t.entries[:d]], m.backend) if d else None
     quotient = (
         Matrix([row[d:] for row in t.entries[d:]], m.backend) if d < n else None
@@ -352,17 +290,11 @@ def _probe_matrices(m: AdmissibleModel, extended: bool):
         for j in range(k):
             if i != j:
                 yield gens[i] @ gens[j]
-    if m.backend == EXACT:
-        mix = GaussianRational(0, 1)
-        two = GaussianRational(2)
-    else:
-        mix = 1j
-        two = 2.0 + 0j
     for i in range(k):
         for j in range(i + 1, k):
             yield gens[i] + gens[j]
-            yield gens[i] + gens[j].scale(mix)
-            yield gens[i] + gens[j].scale(two)
+            yield gens[i] + gens[j].scale(GR_I)
+            yield gens[i] + gens[j].scale(2)
     for g in gens:
         yield m.delta @ g
 
@@ -383,17 +315,11 @@ def _eigen_pairs_for_probe(t: Matrix, ctx: ToleranceContext, thorough: bool = Fa
     if t.backend == APPROX or thorough:
         pairs, _leftover = in_field_eigenvalues(t, ctx)
         return pairs
-    from .linalg import _FAST_ROOT_CANDIDATES
-
     n = t.rows
-    candidates = []
-    for c in [t.entries[i][i] for i in range(n)] + _FAST_ROOT_CANDIDATES:
-        if c not in candidates:
-            candidates.append(c)
     ident = Matrix.identity(n, EXACT)
     pairs = []
-    for lam in candidates:
-        if not (t - ident.scale(lam)).det():
+    for lam in root_candidates(t.entries[i][i] for i in range(n)):
+        if not (t - ident.scale(lam)).is_invertible(ctx):
             pairs.append((lam, None))
     return pairs
 
@@ -572,10 +498,7 @@ def _radical_elements(algebra, backend: str, ctx: ToleranceContext):
 
 def _is_scalar_matrix(c: Matrix, ctx: ToleranceContext) -> bool:
     n = c.rows
-    if c.backend == EXACT:
-        mean = c.trace() / GaussianRational(n)
-    else:
-        mean = c.trace() / n
+    mean = c.trace() / n
     return (c - Matrix.identity(n, c.backend).scale(mean)).is_zero(ctx)
 
 
@@ -642,27 +565,10 @@ def _structural_backstop(m: AdmissibleModel):
 def _minpoly_factors(coeffs):
     """Factor an exact minimal polynomial over the Gaussian rationals.
 
-    Returns a list of (degree, multiplicity, coefficient list) or None if
-    sympy cannot factor (never observed; defensive).
+    Returns a list of (degree, multiplicity, monic coefficient list) or
+    None if sympy cannot factor (never observed; defensive).
     """
-    import sympy
-
-    from .linalg import _to_sympy, _from_sympy, _X
-
-    n = len(coeffs) - 1
-    expr = sum(
-        (_to_sympy(c) * _X ** (n - k) for k, c in enumerate(coeffs)),
-        sympy.Integer(0),
-    )
-    poly = sympy.Poly(expr, _X, domain="QQ_I")
-    out = []
-    for factor, mult in poly.factor_list()[1]:
-        fac_coeffs = [
-            _from_sympy(sympy.expand(sympy.together(c))) for c in factor.all_coeffs()
-        ]
-        lead = fac_coeffs[0]
-        fac_coeffs = [c / lead for c in fac_coeffs]
-        out.append((factor.degree(), int(mult), fac_coeffs))
+    out = [(len(fac) - 1, mult, fac) for fac, mult in factor_gaussian(coeffs)]
     out.sort(key=lambda item: (item[0], -item[1]))
     return out
 
@@ -675,15 +581,7 @@ def minimal_submodule(m: AdmissibleModel):
         sub = find_proper_submodule(current)
         if sub is None:
             if coords is None:
-                dim = current.dim
-                if m.backend == EXACT:
-                    one, zero = GR_ONE, GR_ZERO
-                else:
-                    one, zero = 1.0 + 0j, 0.0 + 0j
-                return [
-                    tuple(one if i == j else zero for i in range(dim))
-                    for j in range(dim)
-                ]
+                return Matrix.identity(current.dim, m.backend).columns()
             return coords.columns()
         basis_mat = Matrix.from_columns(list(sub), current.backend)
         coords = basis_mat if coords is None else coords @ basis_mat
@@ -765,28 +663,16 @@ def is_isomorphic(a: AdmissibleModel, b: AdmissibleModel) -> bool:
     if not basis:
         return False
     for t in basis:
-        if _invertible(t, ctx):
+        if t.is_invertible(ctx):
             return True
     # non-simple callers: try a couple of combinations before giving up
     if len(basis) > 1:
         acc = basis[0]
         for t in basis[1:]:
-            if a.backend == EXACT:
-                acc = acc + t.scale(GaussianRational(2))
-            else:
-                acc = acc + t.scale(2.0)
-            if _invertible(acc, ctx):
+            acc = acc + t.scale(2)
+            if acc.is_invertible(ctx):
                 return True
     return False
-
-
-def _invertible(t: Matrix, ctx: ToleranceContext) -> bool:
-    if t.rows != t.cols:
-        return False
-    if t.backend == EXACT:
-        return bool(t.det())
-    sv = np.linalg.svd(t.to_numpy(), compute_uv=False)
-    return sv[-1] > ctx.zero_threshold(sv[0])
 
 
 @dataclass(frozen=True)
@@ -918,9 +804,7 @@ class FiltrationSearch:
 
 def _random_unimodular(dim: int, backend: str, rng: random.Random) -> Matrix:
     if backend == EXACT:
-        rows = [
-            [GR_ONE if i == j else GR_ZERO for j in range(dim)] for i in range(dim)
-        ]
+        rows = [list(row) for row in Matrix.identity(dim, EXACT).entries]
         for _ in range(2 * dim):
             i = rng.randrange(dim)
             j = rng.randrange(dim)
@@ -1004,16 +888,8 @@ def spectral_projection_direct(m: AdmissibleModel, sigma0) -> Matrix:
     e = Matrix.from_columns(columns, m.backend)
     e_inv = e.inverse(m.context)
     k = target.dim
-    if m.backend == EXACT:
-        one, zero = GR_ONE, GR_ZERO
-    else:
-        one, zero = 1.0 + 0j, 0.0 + 0j
-    diag = Matrix(
-        [
-            [one if (i == j and i < k) else zero for j in range(m.dim)]
-            for i in range(m.dim)
-        ],
-        m.backend,
+    diag = Matrix.block_diag(
+        [Matrix.identity(k, m.backend), Matrix.zeros(m.dim - k, m.dim - k, m.backend)]
     )
     return e @ diag @ e_inv
 
@@ -1126,36 +1002,23 @@ def spectral_trace(m: AdmissibleModel, f_op: Matrix, series: SeriesData | None =
     series = series or composition_series_data(m)
     p = series.basis_matrix
     t = p.inverse(m.context) @ f_op @ p
-    # block lower-triangular part must vanish: f_op preserves the flag
     sizes = [f.dim for f in series.factors]
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)
-    ctx = m.context
-    if m.backend == APPROX:
-        scale = max(t.scale_bound(), 1.0)
-    for bi in range(len(sizes)):
-        for i in range(offsets[bi + 1], m.dim):
-            for j in range(offsets[bi], offsets[bi + 1]):
-                entry = t.entries[i][j]
-                bad = (
-                    bool(entry)
-                    if m.backend == EXACT
-                    else abs(entry) > ctx.zero_threshold(scale) * 100
-                )
-                if bad:
-                    raise NotStable("operator does not preserve the composition flag")
+    # block lower-triangular part must vanish: f_op preserves the flag
+    if not t.lower_blocks_negligible(offsets, 100, m.context):
+        raise NotStable("operator does not preserve the composition flag")
     block_traces = []
-    zero = GR_ZERO if m.backend == EXACT else 0.0 + 0.0j
     for bi in range(len(sizes)):
-        tr = zero
+        tr = zero(m.backend)
         for i in range(offsets[bi], offsets[bi + 1]):
             tr = tr + t.entries[i][i]
         block_traces.append(tr)
     per_class = {}
     for idx, tr in zip(series.class_of_factor, block_traces):
         per_class.setdefault(idx, []).append(tr)
-    spectral_value = zero
+    spectral_value = zero(m.backend)
     for idx, traces in per_class.items():
         representative = traces[0]
         if m.backend == EXACT:
@@ -1260,8 +1123,6 @@ def subquotient_spectrum_check(
 
 
 def _solve_coordinates_exact(p: Matrix, vector, keep: int):
-    from .linalg import solve_exact
-
     rhs = Matrix([[x] for x in vector], EXACT)
     sol = solve_exact(p, rhs)
     if sol is None:

@@ -34,7 +34,7 @@ from scipy.integrate import quad
 
 from .errors import GrowthInadmissible, SizeLimit, TailBoundExceedsTolerance
 from .linalg import Matrix, generalized_eigenspaces
-from .scalars import APPROX, DEFAULT_CONTEXT, ToleranceContext
+from .scalars import APPROX, DEFAULT_CONTEXT, ToleranceContext, one, zero
 from .spectral import AdmissibleModel, default_resolvent_sample
 
 TWO_PI = 2.0 * math.pi
@@ -90,7 +90,7 @@ class TorusTwist:
         blocks = []
         for a, size in self.blocks:
             grid = [
-                [a if i == j else (1.0 + 0j if j == i + 1 else 0j) for j in range(size)]
+                [a if i == j else (one(APPROX) if j == i + 1 else zero(APPROX)) for j in range(size)]
                 for i in range(size)
             ]
             blocks.append(Matrix(grid, APPROX))
@@ -117,7 +117,7 @@ class TorusTwist:
 
 
 def trivial_torus_twist(dim: int = 1) -> TorusTwist:
-    return TorusTwist(tuple((1.0 + 0j, 1) for _ in range(dim)))
+    return TorusTwist(tuple((one(APPROX), 1) for _ in range(dim)))
 
 
 # -- test functions ------------------------------------------------------------

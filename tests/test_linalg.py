@@ -23,7 +23,7 @@ from tracelab.linalg import (
     resolvent,
     span_of,
 )
-from tracelab.scalars import APPROX, EXACT, GR_ONE, GR_ZERO
+from tracelab.scalars import APPROX, EXACT, GR_ONE, GR_ZERO, coerce
 
 
 def brute_row_reduce(rows):
@@ -314,3 +314,41 @@ def test_mixed_backend_rejected():
     b = Matrix.identity(2, APPROX)
     with pytest.raises(BackendMismatch):
         _ = a @ b
+
+
+def seam_matrix(rows, backend):
+    return Matrix([[coerce(x, backend) for x in row] for row in rows], backend)
+
+
+TINY = Fraction(1, 10**12)  # far below eps = 1e-10 at unit scale
+
+
+@pytest.mark.parametrize("backend", [EXACT, APPROX])
+@pytest.mark.parametrize(
+    "rows,exact_answer,approx_answer",
+    [
+        ([[1, 2], [3, 4]], True, True),
+        ([[1, 2], [2, 4]], False, False),  # singular
+        ([[1, 0], [0, TINY]], True, False),  # near-singular within tolerance
+        ([[1, 0, 0], [0, 1, 0]], False, False),  # not square
+    ],
+)
+def test_is_invertible(backend, rows, exact_answer, approx_answer):
+    expected = exact_answer if backend == EXACT else approx_answer
+    assert seam_matrix(rows, backend).is_invertible() is expected
+
+
+@pytest.mark.parametrize("backend", [EXACT, APPROX])
+@pytest.mark.parametrize("scale", [1, 100])
+@pytest.mark.parametrize(
+    "offset_in_thresholds,approx_answer",
+    [(0, True), (Fraction(9, 10), True), (Fraction(11, 10), False)],
+)
+def test_agrees_with_ten_thresholds(backend, scale, offset_in_thresholds, approx_answer):
+    # 10 * zero_threshold(scale) with eps = 1e-10
+    offset = offset_in_thresholds * 10 * Fraction(1, 10**10) * scale
+    a = seam_matrix([[scale, 1], [0, 1]], backend)
+    b = seam_matrix([[scale, 1], [0, 1 + offset]], backend)
+    expected = offset == 0 if backend == EXACT else approx_answer
+    assert a.agrees_with(b) is expected
+    assert b.agrees_with(a) is expected

@@ -175,9 +175,27 @@ class TestCli:
         second = tmp_path / "b.json"
         first.write_text(jordan_scenario_text().replace("jordan", "alpha"), encoding="utf-8")
         second.write_text(jordan_scenario_text().replace("jordan", "beta"), encoding="utf-8")
-        assert main(["verify", str(first), str(second), "--jobs", "2"]) == 0
+        assert main(["verify", str(first), str(second)]) == 0
         out = capsys.readouterr().out
         assert out.index("alpha") < out.index("beta")
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    def test_singular_generator_is_input_error(self, tmp_path, capsys, backend):
+        path = tmp_path / "singular.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "id": "singular",
+                    "case": "spectral-model",
+                    "backend": backend,
+                    "generators": [[["1", "0"], ["0", "0"]]],
+                    "delta": {"scalar": "2"},
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["verify", str(path)]) == 2
+        assert "generators[0]: singular generator image" in capsys.readouterr().err
 
     def test_filtration_requires_model_case(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -198,6 +216,6 @@ class TestCli:
 
     def test_suite_command(self, capsys):
         # smoke: the bundled suite passes end to end through the CLI
-        assert main(["suite", "--jobs", "2"]) == 0
+        assert main(["suite"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 15

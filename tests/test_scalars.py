@@ -4,10 +4,15 @@ import pytest
 
 from tracelab.errors import ParseError
 from tracelab.scalars import (
+    APPROX,
+    EXACT,
     GaussianRational,
     ToleranceContext,
+    coerce,
     format_complex,
+    one,
     parse_gaussian_rational,
+    zero,
 )
 
 
@@ -69,3 +74,27 @@ def test_format_complex_full_precision():
     text = format_complex(z)
     assert "1.1080496168687148" in text
     assert text.endswith("j")
+
+
+@pytest.mark.parametrize(
+    "backend,half,gaussian",
+    [
+        (EXACT, GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 2), -3)),
+        (APPROX, 0.5 + 0j, complex(0.5, -3.0)),
+    ],
+)
+def test_coerce_zero_one(backend, half, gaussian):
+    kind = type(half)
+    cases = [
+        (Fraction(1, 2), half),
+        (GaussianRational(Fraction(1, 2), -3), gaussian),
+        (0, zero(backend)),
+        (1, one(backend)),
+    ]
+    for value, expected in cases:
+        got = coerce(value, backend)
+        assert type(got) is kind
+        assert got == expected
+    assert not zero(backend)
+    assert zero(backend) + half == half
+    assert one(backend) * gaussian == gaussian
