@@ -6,8 +6,11 @@ Subcommands:
 * ``suite``            -- run every bundled scenario,
 * ``filtration <file>``-- spectral-model property run for one file.
 
-Exit codes: 0 all reports pass, 1 at least one mathematical mismatch,
-2 input error (parse or schema).  Reports are emitted in input order.
+Each scenario is loaded, run and emitted in turn; an error in one is
+reported on stderr with its path and the others still run.  Exit codes:
+2 if any scenario had an input error (parse or schema), else 1 if any
+report failed or a run raised, else 0.  Reports are emitted in input
+order.
 """
 
 from __future__ import annotations
@@ -58,23 +61,26 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_paths(paths, args) -> int:
+def _run_one(path, args, case=None) -> int:
+    """Load, run and emit one scenario; returns its exit code."""
     try:
-        scenarios = [load_scenario(p) for p in paths]
+        scenario = load_scenario(path)
+        if case is not None and scenario.case != case:
+            raise SchemaError(f"case: {args.command} needs a {case} scenario")
+        report = run(scenario, args.backend, args.tolerance, args.seed)
     except (ParseError, SchemaError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        reports = [run(s, args.backend, args.tolerance, args.seed) for s in scenarios]
-    except (ParseError, SchemaError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"input error: {path}: {exc}", file=sys.stderr)
         return 2
     except TraceLabError as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
+        print(f"verification error: {path}: {exc}", file=sys.stderr)
         return 1
-    for report in reports:
-        sys.stdout.write(emit(report, args.emit))
-    return 0 if all(r.passed for r in reports) else 1
+    sys.stdout.write(emit(report, args.emit))
+    return 0 if report.passed else 1
+
+
+def _run_paths(paths, args) -> int:
+    # every scenario runs; the worst exit code wins (2 over 1 over 0)
+    return max([_run_one(p, args) for p in paths])
 
 
 def main(argv=None) -> int:
@@ -84,16 +90,7 @@ def main(argv=None) -> int:
     if args.command == "suite":
         return _run_paths([str(p) for p in bundled_scenario_paths()], args)
     if args.command == "filtration":
-        try:
-            scenario = load_scenario(args.file)
-        except (ParseError, SchemaError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
-        if scenario.case != "spectral-model":
-            print("input error: filtration needs a spectral-model scenario",
-                  file=sys.stderr)
-            return 2
-        return _run_paths([args.file], args)
+        return _run_one(args.file, args, case="spectral-model")
     raise AssertionError("unreachable")
 
 

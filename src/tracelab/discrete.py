@@ -36,7 +36,12 @@ from .groups import (
     FiniteIndexSubgroup,
     KernelSubgroup,
     conjugacy_test,
+    cyclic_reduce,
+    cyclically_equal,
+    perm_compose,
     primitive_root,
+    word_inverse,
+    word_multiply,
 )
 from .linalg import Matrix
 from .scalars import (
@@ -407,7 +412,7 @@ def _subgroup_conjugate(subgroup, a, b) -> bool:
     # kernel; check over coset orbit representatives of the conjugating set
     if tuple(a) == () or tuple(b) == ():
         return tuple(a) == tuple(b)
-    if not cyclically_equal_words(a, b):
+    if not cyclically_equal(a, b):
         return False
     rho, _ = primitive_root(a)
     # u ranges over G with u a u^-1 = b; the solutions form a coset of the
@@ -420,28 +425,14 @@ def _subgroup_conjugate(subgroup, a, b) -> bool:
     rho_img = subgroup.evaluate(rho)
     power = group_q.identity()
     for _ in range(len(group_q)):
-        if _perm_mul(power, target) == group_q.identity():
+        if perm_compose(power, target) == group_q.identity():
             return True
-        power = _perm_mul(rho_img, power)
+        power = perm_compose(rho_img, power)
     return False
-
-
-def _perm_mul(p, q):
-    from .groups import perm_compose
-
-    return perm_compose(p, q)
-
-
-def cyclically_equal_words(a, b):
-    from .groups import cyclically_equal
-
-    return cyclically_equal(a, b)
 
 
 def _free_conjugator(a, b):
     """Some word u with u a u^-1 = b (exists when cyclically equal)."""
-    from .groups import cyclic_reduce, word_inverse, word_multiply
-
     core_a, u_a = cyclic_reduce(a)
     core_b, u_b = cyclic_reduce(b)
     n = len(core_a)

@@ -1,7 +1,8 @@
 """Discrete groups and their finite-index subgroups.
 
 Three families, one duck-typed protocol (``identity``, ``multiply``,
-``inverse``, ``generators``, ``kind``):
+``inverse``, ``generators``, ``kind``, and ``element``, which validates
+input from outside the program):
 
 * finite permutation groups (elements are permutation tuples),
 * free abelian groups of finite rank (elements are integer vectors),
@@ -9,8 +10,11 @@ Three families, one duck-typed protocol (``identity``, ``multiply``,
   tuple of nonzero ints, letter ``k`` meaning generator ``k-1`` and
   ``-k`` its inverse).
 
-:class:`FiniteIndexSubgroup` wraps a membership test and builds the coset
-machinery shared by all families: a BFS transversal, the coset lookup
+:class:`FiniteIndexSubgroup` is given by a canonical right-coset key, one
+function per family (finite: the smallest element of ``Gamma x``;
+lattice: the fractional parts of the lattice coordinates; kernel: the
+image in the finite quotient).  From it follows the coset machinery
+shared by all families: membership, a BFS transversal, the coset lookup
 ``x = gamma * rep_j`` and the right-translation coset action
 ``rep_i * g = gamma * rep_j``.  Free-group subgroups are kernels of maps
 onto finite groups and come with Schreier generators and rewriting, which
@@ -22,6 +26,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import IllFormedCosetAction, NotInSubgroup
+
+
+def _integers(x) -> tuple:
+    """x as a tuple of ints; ValueError unless it is a list of ints."""
+    if not isinstance(x, (list, tuple)) or any(type(v) is not int for v in x):
+        raise ValueError(f"expected a list of integers, got {x!r}")
+    return tuple(x)
+
 
 # -- permutations -------------------------------------------------------------
 
@@ -48,13 +60,14 @@ class FiniteGroup:
     kind = "finite"
 
     def __init__(self, generators, name="G"):
+        generators = [_integers(g) for g in generators]
         degree = len(generators[0]) if generators else 1
         for g in generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
         self.name = name
         self.degree = degree
-        self.generators = tuple(tuple(g) for g in generators)
+        self.generators = tuple(generators)
         self.elements = self._closure(self.generators, degree)
         self._index = {g: i for i, g in enumerate(self.elements)}
 
@@ -79,6 +92,12 @@ class FiniteGroup:
 
     def __contains__(self, x):
         return tuple(x) in self._index
+
+    def element(self, x):
+        x = _integers(x)
+        if x not in self._index:
+            raise ValueError(f"not an element of {self.name}: {list(x)}")
+        return x
 
     def identity(self):
         return perm_identity(self.degree)
@@ -197,6 +216,12 @@ class FreeAbelianGroup:
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         )
 
+    def element(self, x):
+        x = _integers(x)
+        if len(x) != self.rank:
+            raise ValueError(f"expected a vector of length {self.rank}, got {list(x)}")
+        return x
+
     def identity(self):
         return (0,) * self.rank
 
@@ -283,6 +308,15 @@ class FreeGroup:
         self.name = f"F{rank}"
         self.generators = tuple((i + 1,) for i in range(rank))
 
+    def element(self, x):
+        """The word as written, letters checked but not reduced."""
+        x = _integers(x)
+        if not all(0 < abs(letter) <= self.rank for letter in x):
+            raise ValueError(
+                f"letters must be nonzero with |letter| <= {self.rank}, got {list(x)}"
+            )
+        return x
+
     def identity(self):
         return ()
 
@@ -297,57 +331,57 @@ class FreeGroup:
 
 
 class FiniteIndexSubgroup:
-    """Finite-index subgroup with membership test and coset machinery.
+    """Finite-index subgroup given by its canonical right-coset key.
 
-    Cosets are right cosets ``Gamma x``; the transversal starts at the
-    identity and is built breadth-first over the ambient generators, so
-    it is deterministic.  ``coset_action(g, i) = (j, gamma)`` solves
-    ``rep_i * g = gamma * rep_j`` with ``gamma`` in the subgroup, which is
-    exactly the cocycle the induced representation twists by.
+    ``coset_key(x) == coset_key(y)`` exactly when ``x * y^-1`` lies in the
+    subgroup, so the key names the right coset ``Gamma x``; membership,
+    the transversal and the coset lookup all follow from it.  The
+    transversal starts at the identity and is built breadth-first over
+    the ambient generators, so it is deterministic.
+    ``coset_action(g, i) = (j, gamma)`` solves ``rep_i * g = gamma * rep_j``
+    with ``gamma`` in the subgroup, which is exactly the cocycle the
+    induced representation twists by.
     """
 
-    def __init__(self, group, membership, gamma_generators, name="Gamma", max_index=10000):
+    def __init__(self, group, coset_key, gamma_generators, name="Gamma"):
         self.group = group
         self.name = name
-        self._member = membership
+        self.coset_key = coset_key
         self.gamma_generators = tuple(gamma_generators)
-        self.coset_reps = self._transversal(max_index)
+        self.coset_reps, self._slot = self._transversal()
         self.index = len(self.coset_reps)
         self._check_action()
 
     def contains(self, x) -> bool:
-        return self._member(x)
+        # the identity's coset, slot 0, is the subgroup itself
+        return self._slot.get(self.coset_key(x)) == 0
 
-    def _transversal(self, max_index):
+    def _transversal(self):
         g = self.group
         gens = list(g.generators) + [g.inverse(x) for x in g.generators]
         reps = [g.identity()]
+        slot = {self.coset_key(g.identity()): 0}
         frontier = [g.identity()]
         while frontier:
             nxt = []
             for rep in frontier:
                 for s in gens:
                     cand = g.multiply(rep, s)
-                    if not any(
-                        self._member(g.multiply(cand, g.inverse(r))) for r in reps
-                    ):
+                    key = self.coset_key(cand)
+                    if key not in slot:
+                        slot[key] = len(reps)
                         reps.append(cand)
                         nxt.append(cand)
-                        if len(reps) > max_index:
-                            raise IllFormedCosetAction(
-                                f"index exceeds {max_index}; not finite index?"
-                            )
             frontier = nxt
-        return tuple(reps)
+        return tuple(reps), slot
 
     def coset_of(self, x):
         """(j, gamma) with x = gamma * rep_j and gamma in the subgroup."""
+        j = self._slot.get(self.coset_key(x))
+        if j is None:
+            raise IllFormedCosetAction(f"element {x!r} lies in no coset")
         g = self.group
-        for j, rep in enumerate(self.coset_reps):
-            gamma = g.multiply(x, g.inverse(rep))
-            if self._member(gamma):
-                return j, gamma
-        raise IllFormedCosetAction(f"element {x!r} lies in no coset")
+        return j, g.multiply(x, g.inverse(self.coset_reps[j]))
 
     def coset_action(self, g_elt, i: int):
         """(j, gamma) with rep_i * g = gamma * rep_j."""
@@ -366,20 +400,24 @@ class FiniteIndexSubgroup:
 
 
 def finite_subgroup(group: FiniteGroup, generators, name="Gamma") -> FiniteIndexSubgroup:
+    """Subgroup generated by permutations; the key of ``Gamma x`` is its
+    smallest element."""
     members = group.subgroup_closure(generators)
     sub = FiniteIndexSubgroup(
         group,
-        lambda x: tuple(x) in members,
+        lambda x: min(perm_compose(m, x) for m in members),
         tuple(tuple(g) for g in generators),
         name=name,
-        max_index=len(group),
     )
     sub.members = members
     return sub
 
 
 def lattice_subgroup(group: FreeAbelianGroup, basis, name="Lattice") -> FiniteIndexSubgroup:
-    """Sublattice of Z^n spanned by integer basis rows (must be full rank)."""
+    """Sublattice of Z^n spanned by integer basis rows (must be full rank).
+
+    The key of a coset is the fractional part of the lattice coordinates.
+    """
     rank = group.rank
     rows = [tuple(int(x) for x in row) for row in basis]
     if len(rows) != rank:
@@ -408,51 +446,23 @@ def lattice_subgroup(group: FreeAbelianGroup, basis, name="Lattice") -> FiniteIn
                     rhs[r] = rhs[r] - f * rhs[col]
         return rhs
 
-    def member(vector):
-        sol = solve(vector)
-        if sol is None:
+    def coset_key(vector):
+        coords = solve(vector)
+        if coords is None:
             raise ValueError("lattice basis is singular")
-        return all(c.denominator == 1 for c in sol)
+        return tuple(c % 1 for c in coords)
 
-    index_bound = 1
-    det = _int_det(rows)
-    if det == 0:
-        raise ValueError("lattice basis is singular")
-    index_bound = abs(det)
-    sub = FiniteIndexSubgroup(
-        group, member, tuple(rows), name=name, max_index=index_bound + 1
-    )
+    sub = FiniteIndexSubgroup(group, coset_key, tuple(rows), name=name)
     sub.lattice_basis = tuple(rows)
     sub.coordinates_in_lattice = solve
     return sub
 
 
-def _int_det(rows):
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return int(det)
-
-
 class KernelSubgroup(FiniteIndexSubgroup):
     """Kernel of a map from a free group onto a finite permutation group.
 
-    Membership is evaluation of the quotient map; the subgroup is free on
-    its Schreier generators, which are enumerated deterministically
+    The coset key is evaluation of the quotient map; the subgroup is free
+    on its Schreier generators, which are enumerated deterministically
     (transversal order, then ambient generator index) and drive both the
     twist assignment and the rewriting of kernel elements.
     """
@@ -462,27 +472,20 @@ class KernelSubgroup(FiniteIndexSubgroup):
             raise ValueError("one image per free generator required")
         self.quotient = quotient
         self.images = tuple(tuple(im) for im in images)
-
-        def evaluate(word):
-            acc = quotient.identity()
-            for letter in word:
-                img = self.images[abs(letter) - 1]
-                if letter < 0:
-                    img = perm_inverse(img)
-                acc = perm_compose(acc, img)
-            return acc
-
-        self.evaluate = evaluate
-        super().__init__(
-            group,
-            lambda w: evaluate(w) == quotient.identity(),
-            (),
-            name=name,
-            max_index=len(quotient),
-        )
+        super().__init__(group, self.evaluate, (), name=name)
         self._build_schreier()
         # gamma generators are the Schreier generators
         self.gamma_generators = tuple(word for _, _, word in self.schreier_generators)
+
+    def evaluate(self, word):
+        """Image of a word in the quotient."""
+        acc = self.quotient.identity()
+        for letter in word:
+            img = self.images[abs(letter) - 1]
+            if letter < 0:
+                img = perm_inverse(img)
+            acc = perm_compose(acc, img)
+        return acc
 
     def _build_schreier(self):
         gens = []
@@ -517,12 +520,8 @@ class KernelSubgroup(FiniteIndexSubgroup):
                     out.append((gen_idx, +1))
                 coset = j
             else:
-                # find the coset j with rep_j * s in coset `coset`
-                j = next(
-                    jj
-                    for jj in range(self.index)
-                    if self._schreier_lookup[(jj, s_idx)][0] == coset
-                )
+                # the coset j with rep_j * s in coset `coset`
+                j, _ = self.coset_action((letter,), coset)
                 _, gen_idx = self._schreier_lookup[(j, s_idx)]
                 if gen_idx is not None:
                     out.append((gen_idx, -1))

@@ -160,7 +160,11 @@ def _parse_scalar(value, backend: str, where: str):
         )
     if isinstance(value, float):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) for v in value)
+    ):
         return complex(float(value[0]), float(value[1]))
     raise SchemaError(f"{where}: cannot parse approx scalar {value!r}")
 
@@ -185,10 +189,10 @@ def _build_group(spec, where="group"):
     family = spec["family"]
     if family == "finite":
         gens = spec.get("generators")
-        if not gens:
+        if not isinstance(gens, list) or not gens:
             raise SchemaError(f"{where}.generators: required for finite groups")
         try:
-            return FiniteGroup([tuple(g) for g in gens], name=spec.get("name", "G"))
+            return FiniteGroup(gens, name=spec.get("name", "G"))
         except ValueError as exc:
             raise SchemaError(f"{where}.generators: {exc}") from exc
     if family == "free_abelian":
@@ -204,39 +208,49 @@ def _build_group(spec, where="group"):
     raise SchemaError(f"{where}.family: unknown family {family!r}")
 
 
+def _element(group, value, where):
+    """A group element from the scenario, validated by its family."""
+    try:
+        return group.element(value)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _elements(group, values, where) -> list:
+    if not isinstance(values, list) or not values:
+        raise SchemaError(f"{where}: required, a nonempty list")
+    return [_element(group, v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
 def _build_subgroup(group, spec, where="subgroup") -> FiniteIndexSubgroup:
     if not isinstance(spec, dict):
         raise SchemaError(f"{where}: must be an object")
     name = spec.get("name", "Gamma")
     if group.kind == "finite":
-        gens = spec.get("generators")
-        if not gens:
-            raise SchemaError(f"{where}.generators: required")
-        return finite_subgroup(group, [tuple(g) for g in gens], name=name)
+        gens = _elements(group, spec.get("generators"), f"{where}.generators")
+        return finite_subgroup(group, gens, name=name)
     if group.kind == "free_abelian":
-        basis = spec.get("lattice_basis")
-        if not basis:
-            raise SchemaError(f"{where}.lattice_basis: required")
+        basis = _elements(group, spec.get("lattice_basis"), f"{where}.lattice_basis")
         try:
             return lattice_subgroup(group, basis, name=name)
         except ValueError as exc:
             raise SchemaError(f"{where}.lattice_basis: {exc}") from exc
     quotient_spec = spec.get("quotient")
-    images = spec.get("images")
-    if not quotient_spec or images is None:
+    if not quotient_spec or "images" not in spec:
         raise SchemaError(f"{where}: free subgroups need 'quotient' and 'images'")
     quotient = _build_group(quotient_spec, where=f"{where}.quotient")
     if quotient.kind != "finite":
         raise SchemaError(f"{where}.quotient: must be a finite group")
+    images = _elements(quotient, spec["images"], f"{where}.images")
     try:
-        return KernelSubgroup(group, quotient, [tuple(im) for im in images], name=name)
+        return KernelSubgroup(group, quotient, images, name=name)
     except (ValueError, TraceLabError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _build_twist(subgroup, spec, backend, where="twist") -> Twist:
-    if not isinstance(spec, dict) or "images" not in spec:
-        raise SchemaError(f"{where}.images: required")
+    if not isinstance(spec, dict) or not isinstance(spec.get("images"), list):
+        raise SchemaError(f"{where}.images: required, a list")
     images = [
         _parse_matrix(rows, backend, f"{where}.images[{i}]")
         for i, rows in enumerate(spec["images"])
@@ -246,19 +260,22 @@ def _build_twist(subgroup, spec, backend, where="twist") -> Twist:
             raise SchemaError(f"{where}.images[{i}]: must be square")
     try:
         return Twist(subgroup, images, label=spec.get("label", "omega"))
-    except TraceLabError as exc:
+    except (ValueError, TraceLabError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _build_test_function(spec, backend, where="test_function") -> DiscreteTestFunction:
-    if not isinstance(spec, dict) or "support" not in spec:
-        raise SchemaError(f"{where}.support: required")
+def _build_test_function(spec, group, backend, where="test_function") -> DiscreteTestFunction:
+    if not isinstance(spec, dict) or not isinstance(spec.get("support"), list):
+        raise SchemaError(f"{where}.support: required, a list")
     pairs = []
     for i, item in enumerate(spec["support"]):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"{where}.support[{i}]: expected [element, coefficient]")
         element, coeff = item
-        pairs.append((tuple(element), _parse_scalar(coeff, backend, f"{where}.support[{i}][1]")))
+        pairs.append((
+            _element(group, element, f"{where}.support[{i}][0]"),
+            _parse_scalar(coeff, backend, f"{where}.support[{i}][1]"),
+        ))
     return DiscreteTestFunction(pairs, backend)
 
 
@@ -299,7 +316,7 @@ def _build_payload(scenario: Scenario, backend_override: str | None = None):
         group = _build_group(payload.get("group"), "group")
         subgroup = _build_subgroup(group, payload.get("subgroup"), "subgroup")
         twist = _build_twist(subgroup, payload.get("twist"), backend, "twist")
-        f = _build_test_function(payload.get("test_function"), backend, "test_function")
+        f = _build_test_function(payload.get("test_function"), group, backend, "test_function")
         return {"subgroup": subgroup, "twist": twist, "f": f, "backend": backend}
     if scenario.case == "torus":
         twist = _build_torus_twist(payload.get("twist"), "twist")

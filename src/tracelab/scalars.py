@@ -243,7 +243,10 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
         sign, mag, imag = m.groups()
         if mag is None and imag is None:
             raise ParseError(f"cannot parse scalar {text!r}")
-        value = Fraction(mag) if mag is not None else Fraction(1)
+        try:
+            value = Fraction(mag) if mag is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in scalar {text!r}") from None
         if sign == "-":
             value = -value
         if imag:

@@ -1,4 +1,8 @@
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation
 
 from tracelab.errors import IllFormedCosetAction, NotInSubgroup
 from tracelab.groups import (
@@ -154,3 +158,102 @@ class TestKernelSubgroups:
         ker = KernelSubgroup(f2, c2, [(1, 0), (1, 0)])
         with pytest.raises(NotInSubgroup):
             ker.rewrite((1,))
+
+
+class TestPinnedTransversals:
+    """Transversal and Schreier orders fix the induced basis and the twist
+    assignment, so they must not drift."""
+
+    def test_finite_transversal_order(self):
+        sub = finite_subgroup(symmetric_group(4), [(1, 0, 2, 3)])
+        assert sub.coset_reps == (
+            (0, 1, 2, 3), (1, 2, 3, 0), (3, 0, 1, 2), (2, 1, 3, 0),
+            (2, 3, 0, 1), (0, 3, 1, 2), (0, 2, 1, 3), (3, 2, 0, 1),
+            (3, 1, 2, 0), (2, 0, 1, 3), (1, 3, 2, 0), (0, 1, 3, 2),
+        )
+
+    def test_lattice_transversal_order(self):
+        sub = lattice_subgroup(FreeAbelianGroup(2), [[2, 1], [0, 3]])
+        assert sub.coset_reps == ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, -1))
+
+    def test_kernel_transversal_and_schreier_order(self):
+        ker = KernelSubgroup(FreeGroup(2), symmetric_group(3), [(1, 0, 2), (1, 2, 0)])
+        assert ker.coset_reps == ((), (1,), (2,), (-2,), (1, 2), (1, -2))
+        assert ker.schreier_generators == (
+            (1, 0, (1, 1)),
+            (2, 0, (2, 1, 2, -1)),
+            (2, 1, (2, 2, 2)),
+            (3, 0, (-2, 1, -2, -1)),
+            (4, 0, (1, 2, 1, 2)),
+            (4, 1, (1, 2, 2, 2, -1)),
+            (5, 0, (1, -2, 1, -2)),
+        )
+
+
+S4, S5 = symmetric_group(4), symmetric_group(5)
+WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8).map(reduce_word)
+
+
+@st.composite
+def finite_cases(draw):
+    group = draw(st.sampled_from([S4, S5]))
+    elements = st.sampled_from(group.elements)
+    sub = finite_subgroup(group, draw(st.lists(elements, min_size=1, max_size=3)))
+    assert sub.index == len(group) // len(sub.members)
+    return sub, draw(elements), draw(elements), lambda z: z in sub.members
+
+
+@st.composite
+def lattice_cases(draw):
+    rank = draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)
+    rows = draw(st.lists(vectors, min_size=rank, max_size=rank))
+    det = sympy.Matrix(rows).det()
+    assume(det != 0)
+    sub = lattice_subgroup(FreeAbelianGroup(rank), rows)
+    assert sub.index == abs(det)
+
+    def member(z):
+        coords = sympy.Matrix(rows).T.solve(sympy.Matrix(z))
+        return all(c.is_integer for c in coords)
+
+    return sub, tuple(draw(vectors)), tuple(draw(vectors)), member
+
+
+@st.composite
+def kernel_cases(draw):
+    images = draw(st.lists(st.sampled_from(S4.elements), min_size=2, max_size=2))
+    ker = KernelSubgroup(FreeGroup(2), S4, images)
+    assert ker.index == len(S4.subgroup_closure(images))
+
+    def member(z):
+        # sympy's p * q applies p first, so prepend to compose left to right
+        image = Permutation(3)
+        for letter in z:
+            p = Permutation(list(images[abs(letter) - 1]))
+            image = (p if letter > 0 else ~p) * image
+        return image.is_Identity
+
+    return ker, draw(WORDS), draw(WORDS), member
+
+
+class TestCosetKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(finite_cases(), lattice_cases(), kernel_cases()), data=st.data())
+    def test_coset_lookup_matches_membership(self, case, data):
+        sub, x, y, member = case
+        g = sub.group
+        if data.draw(st.booleans()):
+            # move y into x's coset by a product of subgroup generators
+            gens = list(sub.gamma_generators)
+            factors = gens + [g.inverse(h) for h in gens]
+            y = x
+            for h in data.draw(st.lists(st.sampled_from(factors), max_size=3)):
+                y = g.multiply(h, y)
+        x_over_y = g.multiply(x, g.inverse(y))
+        assert sub.contains(x_over_y) == member(x_over_y)
+        assert (sub.coset_of(x)[0] == sub.coset_of(y)[0]) == sub.contains(x_over_y)
+        for z in (x, y):
+            j, gamma = sub.coset_of(z)
+            assert sub.contains(gamma)
+            assert g.multiply(gamma, sub.coset_reps[j]) == z

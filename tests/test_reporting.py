@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelab.cli import bundled_scenario_paths, main
 from tracelab.errors import ParseError, SchemaError
@@ -32,6 +35,56 @@ def jordan_scenario_text():
             "test_function": {"support": [[[2], "1"]]},
         }
     )
+
+
+def bundled_scenario(name):
+    path = next(p for p in bundled_scenario_paths() if p.name == f"{name}.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def with_fields(data, fields):
+    """A deep copy of a scenario with each (key path -> value) replaced."""
+    data = copy.deepcopy(data)
+    for keys, value in fields.items():
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return data
+
+
+SUPPORT_ELEMENT = ("test_function", "support", 0, 0)
+IDENTITY_2 = [["1", "0"], ["0", "1"]]
+
+# malformed discrete inputs: (bundled scenario, replaced fields); each must
+# be an input error, never a PASS, a math failure or a traceback
+MALFORMED_DISCRETE = {
+    "rank1-support-too-long": ("disc-z-mod-2z-jordan", {SUPPORT_ELEMENT: [1, 2]}),
+    "rank1-basis-row-too-long": (
+        "disc-z-mod-2z-jordan", {("subgroup", "lattice_basis"): [[2, 1]]}
+    ),
+    "support-float": ("disc-z-mod-2z-jordan", {SUPPORT_ELEMENT: [1.5]}),
+    "group-generators-not-list": ("disc-s3-a3-plane", {("group", "generators"): 5}),
+    "s3-support-short": ("disc-s3-a3-plane", {SUPPORT_ELEMENT: [0, 1]}),
+    "s3-subgroup-generator-short": (
+        "disc-s3-a3-plane", {("subgroup", "generators", 0): [0, 1]}
+    ),
+    "f2-letter-zero": ("disc-f2-mod2-kernel", {SUPPORT_ELEMENT: [0]}),
+    "f2-letter-out-of-range": ("disc-f2-mod2-kernel", {SUPPORT_ELEMENT: [3]}),
+    "twist-unequal-sizes": (
+        "disc-z2-mod-2z2", {("twist", "images"): [[["1"]], IDENTITY_2]}
+    ),
+    "twist-wrong-count": (
+        "disc-z-mod-2z-jordan", {("twist", "images"): [IDENTITY_2, IDENTITY_2]}
+    ),
+    "twist-zero-denominator": (
+        "disc-z-mod-2z-jordan", {("twist", "images", 0, 0, 0): "1/0"}
+    ),
+    "approx-pair-not-numbers": (
+        "disc-z-mod-2z-jordan",
+        {("backend",): "approx", ("twist", "images", 0, 0, 0): ["a", 1]},
+    ),
+}
 
 
 class TestLoading:
@@ -219,3 +272,93 @@ class TestCli:
         assert main(["suite"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 15
+
+
+class TestMalformedDiscrete:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DISCRETE))
+    def test_input_error_exit_two(self, tmp_path, capsys, case):
+        name, fields = MALFORMED_DISCRETE[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(with_fields(bundled_scenario(name), fields)), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {path}: ")
+        assert captured.out == ""
+
+    FUZZ_TARGETS = [
+        ("disc-s3-a3-plane", ("group", "generators")),
+        ("disc-s3-a3-plane", ("subgroup", "generators")),
+        ("disc-s3-a3-plane", ("twist", "images")),
+        ("disc-s3-a3-plane", SUPPORT_ELEMENT),
+        ("disc-z-mod-2z-jordan", ("subgroup", "lattice_basis")),
+        ("disc-z2-mod-2z2", ("subgroup", "lattice_basis")),
+        ("disc-z2-mod-2z2", ("twist", "images")),
+        ("disc-z2-mod-2z2", SUPPORT_ELEMENT),
+        ("disc-f2-mod2-kernel", ("subgroup", "images")),
+        ("disc-f2-mod2-kernel", ("twist", "images")),
+        ("disc-f2-mod2-kernel", SUPPORT_ELEMENT),
+    ]
+
+    # Integers stay small: a lattice basis of huge determinant is valid
+    # input whose whole transversal is built at parse time.
+    JSON_VALUES = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-16, 16)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=12,
+    )
+
+    # values shaped like elements, element lists and matrix lists, so that
+    # some of them get past the first checks
+    VECTORS = st.lists(st.integers(-3, 3), max_size=4) | st.integers(0, 4).flatmap(
+        lambda n: st.permutations(range(n))
+    ).map(list)
+    ENTRIES = st.integers(-2, 2) | st.sampled_from(["1", "-1", "1/2", "i", "1/0"])
+    SHAPED = (
+        VECTORS
+        | st.lists(VECTORS, max_size=3)
+        | st.lists(
+            st.lists(st.lists(ENTRIES, min_size=1, max_size=2), max_size=2), max_size=3
+        )
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(FUZZ_TARGETS), value=JSON_VALUES | SHAPED)
+    def test_only_input_errors_escape_parse(self, target, value):
+        name, keys = target
+        text = json.dumps(with_fields(bundled_scenario(name), {keys: value}))
+        try:
+            parse_scenario(text)
+        except (ParseError, SchemaError):
+            pass
+
+
+class TestBatchIsolation:
+    def good_and(self, tmp_path, first_text):
+        first = tmp_path / "first.json"
+        first.write_text(first_text, encoding="utf-8")
+        good = tmp_path / "good.json"
+        good.write_text(jordan_scenario_text(), encoding="utf-8")
+        return [str(first), str(good)]
+
+    def test_verification_error_does_not_hide_later_reports(self, tmp_path, capsys):
+        oversize = json.loads(jordan_scenario_text())
+        oversize["id"] = "oversize"
+        oversize["subgroup"]["lattice_basis"] = [[1200]]
+        paths = self.good_and(tmp_path, json.dumps(oversize))
+        assert main(["verify", *paths]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"verification error: {paths[0]}: ")
+        assert "exceeds" in captured.err
+        assert "jordan" in captured.out and "PASS" in captured.out
+
+    def test_input_error_does_not_hide_later_reports(self, tmp_path, capsys):
+        paths = self.good_and(tmp_path, "{")
+        assert main(["verify", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {paths[0]}: ")
+        assert "jordan" in captured.out and "PASS" in captured.out
