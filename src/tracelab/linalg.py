@@ -3,9 +3,11 @@
 Everything downstream (spectra, filtrations, induced operators, mode
 models) reduces to the handful of primitives in this module: echelon
 spans, nullspaces, generalized eigenspaces, resolvents and intertwiner
-spaces.  Exact matrices run fraction-free-style Gaussian elimination over
-the Gaussian rationals; approx matrices delegate rank decisions to
-singular values measured against the ambient tolerance context.
+spaces.  Exact kernels (products, elimination) work on integer
+numerators over one common denominator per row or column, with a single
+gcd reduction per result entry or row update; approx matrices delegate
+rank decisions to singular values measured against the ambient tolerance
+context.
 
 Conventions: vectors are columns (tuples of scalars), matrices act on the
 left, and a subspace is handed around as a list of basis vectors.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 import sympy
@@ -43,6 +46,77 @@ from .scalars import (
 )
 
 MAX_EIGEN_DIM = 2000
+
+
+# -- the exact integer kernel -------------------------------------------------
+#
+# A vector of Gaussian rationals travels as a numerator triple built from
+# the scalars' own reduced integer triples (``_a``, ``_b``, ``_d``).
+
+
+def _numerators(vec):
+    """Gaussian rationals as ``(re numerators, im numerators, d)``: entry k
+    is ``(re[k] + im[k] i) / d``, with ``d`` the lcm of the denominators."""
+    d = math.lcm(*[x._d for x in vec])
+    if d == 1:
+        return [x._a for x in vec], [x._b for x in vec], 1
+    return [x._a * (d // x._d) for x in vec], [x._b * (d // x._d) for x in vec], d
+
+
+def _dot(r, c):
+    """Sum of ``r[k] * c[k]`` over two numerator triples: one reduction.
+    Products with an all-zero imaginary side are skipped."""
+    ra, rb, rd = r
+    ca, cb, cd = c
+    re = sum(map(mul, ra, ca))
+    im = sum(map(mul, ra, cb)) if any(cb) else 0
+    if any(rb):
+        re -= sum(map(mul, rb, cb))
+        im += sum(map(mul, rb, ca))
+    return GaussianRational._raw(re, im, rd * cd)
+
+
+def _entries(t):
+    """A numerator triple back as a tuple of Gaussian rationals."""
+    d = t[2]
+    return tuple(GaussianRational._raw(x, y, d) for x, y in zip(t[0], t[1]))
+
+
+def _nonzero_at(t, k) -> bool:
+    return bool(t[0][k] or t[1][k])
+
+
+def _reduced(a, b, d):
+    """A numerator triple divided by its content (gcd of every part)."""
+    g = math.gcd(*a, *b, d)
+    if g == 1:
+        return a, b, d
+    return [x // g for x in a], [x // g for x in b], d // g
+
+
+def _normalized(t, c):
+    """Triple ``t`` divided by its nonzero entry ``c``: ``(a + b i) / d``
+    over ``(pa + pb i) / d`` is ``(a + b i)(pa - pb i) / (pa^2 + pb^2)``."""
+    a, b, _ = t
+    pa, pb = a[c], b[c]
+    return _reduced(
+        [x * pa + y * pb for x, y in zip(a, b)],
+        [y * pa - x * pb for x, y in zip(a, b)],
+        pa * pa + pb * pb,
+    )
+
+
+def _eliminated(t, row, c):
+    """``t - t[c] * row`` for a ``row`` normalized at ``c``, over the
+    denominator ``d * rd`` and reduced by its content once."""
+    a, b, d = t
+    ra, rb, rd = row
+    fa, fb = a[c], b[c]
+    return _reduced(
+        [x * rd - fa * y + fb * z for x, y, z in zip(a, ra, rb)],
+        [x * rd - fa * z - fb * y for x, y, z in zip(b, ra, rb)],
+        d * rd,
+    )
 
 
 class Matrix:
@@ -148,24 +222,33 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if self.backend == APPROX:
             return Matrix.from_numpy(self.to_numpy() @ other.to_numpy())
-        other_t = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(row, col)), GR_ZERO)
-                    for col in other_t
-                ]
-            )
-        return Matrix(out, self.backend)
+        cols = [_numerators(col) for col in zip(*other.entries)]
+        return Matrix(
+            [[_dot(row, col) for col in cols] for row in map(_numerators, self.entries)],
+            EXACT,
+        )
 
     def apply(self, vector):
         """Matrix-vector product (vector as a tuple of scalars)."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        start = zero(self.backend)
-        return tuple(
-            sum((a * v for a, v in zip(row, vector)), start) for row in self.entries
+        if self.backend == EXACT:
+            vec = _numerators(vector)
+            return tuple(_dot(row, vec) for row in map(_numerators, self.entries))
+        start = zero(APPROX)
+        return tuple(sum((a * v for a, v in zip(row, vector)), start) for row in self.entries)
+
+    def trace_product(self, other: "Matrix"):
+        """``tr(self @ other)``.  Exact: the sum of ``self[p][q] * other[q][p]``,
+        O(n^2) with one reduction.  Approx: the trace of the float product."""
+        same_backend(self.backend, other.backend)
+        if (self.cols, self.rows) != other.shape:
+            raise ValueError(f"shape mismatch tr({self.shape} @ {other.shape})")
+        if self.backend == APPROX:
+            return (self @ other).trace()
+        return _dot(
+            _numerators([x for row in self.entries for x in row]),
+            _numerators([x for col in zip(*other.entries) for x in col]),
         )
 
     def power(self, k: int) -> "Matrix":
@@ -249,24 +332,8 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if self.backend == APPROX:
             return complex(np.linalg.det(self.to_numpy()))
-        rows = [list(r) for r in self.entries]
-        det = GR_ONE
-        n = self.rows
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col]), None)
-            if pivot is None:
-                return GR_ZERO
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            inv = GR_ONE / rows[col][col]
-            rows[col] = [x * inv for x in rows[col]]
-            for r in range(col + 1, n):
-                factor = rows[r][col]
-                if factor:
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-        return det
+        _, pivots, det = _rref(self.entries)
+        return det if len(pivots) == self.rows else GR_ZERO
 
     def inverse(self, ctx: ToleranceContext = DEFAULT_CONTEXT) -> "Matrix":
         if self.rows != self.cols:
@@ -338,7 +405,7 @@ class Span:
         self.ambient_dim = dim
         self.backend = backend
         self.ctx = ctx
-        self._rows = []  # exact: (pivot_index, vector); approx: unit vectors
+        self._rows = []  # exact: (pivot index, numerator triple), kept reduced
         self._np_rows = []
 
     @property
@@ -347,15 +414,15 @@ class Span:
 
     def basis(self):
         if self.backend == EXACT:
-            return [vec for _, vec in self._rows]
+            return [_entries(row) for _, row in self._rows]
         return [tuple(complex(x) for x in row) for row in self._np_rows]
 
     def _reduce_exact(self, vector):
-        v = list(vector)
+        """Exact: ``vector`` as a numerator triple, reduced by the rows."""
+        v = _numerators(vector)
         for pivot, row in self._rows:
-            if v[pivot]:
-                factor = v[pivot]
-                v = [a - factor * b for a, b in zip(v, row)]
+            if _nonzero_at(v, pivot):
+                v = _eliminated(v, row, pivot)
         return v
 
     def _residual(self, v, passes: int = 2):
@@ -370,19 +437,17 @@ class Span:
         """Insert a vector; returns True when it enlarged the span."""
         if self.backend == EXACT:
             v = self._reduce_exact(vector)
-            pivot = next((i for i, x in enumerate(v) if x), None)
+            pivot = next((i for i in range(len(v[0])) if _nonzero_at(v, i)), None)
             if pivot is None:
                 return False
-            inv = GR_ONE / v[pivot]
-            v = [x * inv for x in v]
+            v = _normalized(v, pivot)
             # keep earlier rows reduced against the new pivot
             updated = []
             for p, row in self._rows:
-                if row[pivot]:
-                    factor = row[pivot]
-                    row = tuple(a - factor * b for a, b in zip(row, v))
+                if _nonzero_at(row, pivot):
+                    row = _eliminated(row, v, pivot)
                 updated.append((p, row))
-            updated.append((pivot, tuple(v)))
+            updated.append((pivot, v))
             updated.sort(key=lambda item: item[0])
             self._rows = updated
             return True
@@ -399,7 +464,8 @@ class Span:
 
     def contains(self, vector) -> bool:
         if self.backend == EXACT:
-            return all(not x for x in self._reduce_exact(vector))
+            a, b, _ = self._reduce_exact(vector)
+            return not (any(a) or any(b))
         v = np.array(vector, dtype=complex)
         norm0 = np.linalg.norm(v)
         if self.ctx.is_zero(norm0):
@@ -454,36 +520,41 @@ def span_of(vectors, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CON
 def _rref(rows):
     """Reduced row echelon form over the exact backend.
 
-    Returns (rref rows, pivot column indices); input rows untouched.
+    Returns (rref rows, pivot column indices, determinant); the
+    determinant is meaningful when the rows are square and of full rank.
+    Each row is kept as one numerator triple; input rows untouched.
     """
-    mat = [list(r) for r in rows]
+    mat = [_numerators(r) for r in rows]
     n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
+    n_cols = len(rows[0]) if mat else 0
     pivots = []
+    det = GR_ONE
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
+        pivot_row = next((i for i in range(r, n_rows) if _nonzero_at(mat[i], c)), None)
         if pivot_row is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = GR_ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        if pivot_row != r:
+            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+            det = -det
+        a, b, d = mat[r]
+        det = det * GaussianRational._raw(a[c], b[c], d)
+        mat[r] = _normalized(mat[r], c)
         for i in range(n_rows):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+            if i != r and _nonzero_at(mat[i], c):
+                mat[i] = _eliminated(mat[i], mat[r], c)
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return mat[:r], pivots
+    return [_entries(t) for t in mat[:r]], pivots, det
 
 
 def solve_exact(m: Matrix, rhs: Matrix):
     """Solve ``m @ X = rhs`` exactly; None when ``m`` is singular."""
     n = m.rows
     aug = [list(m.entries[i]) + list(rhs.entries[i]) for i in range(n)]
-    red, pivots = _rref(aug)
+    red, pivots, _ = _rref(aug)
     if pivots != list(range(n)):
         return None
     sol = [row[n:] for row in red]
@@ -498,7 +569,7 @@ def nullspace(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
     tolerance relative to the largest one.
     """
     if m.backend == EXACT:
-        red, pivots = _rref(m.entries)
+        red, pivots, _ = _rref(m.entries)
         pivot_set = set(pivots)
         free = [c for c in range(m.cols) if c not in pivot_set]
         basis = []
@@ -523,7 +594,7 @@ def nullspace(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
 
 def rank(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT) -> int:
     if m.backend == EXACT:
-        _, pivots = _rref(m.entries)
+        _, pivots, _ = _rref(m.entries)
         return len(pivots)
     sv = np.linalg.svd(m.to_numpy(), compute_uv=False)
     if len(sv) == 0:
@@ -555,13 +626,16 @@ def charpoly(m: Matrix):
         raise BackendMismatch("charpoly is an exact-backend primitive")
     n = m.rows
     coeffs = [GR_ONE]
-    b = Matrix.identity(n, EXACT)
+    b = m
     for k in range(1, n + 1):
-        b = m @ b
         ck = -(b.trace() / GaussianRational(k))
         coeffs.append(ck)
         if k < n:
-            b = b + Matrix.identity(n, EXACT).scale(ck)
+            # b <- m (b + ck I), adding ck on the diagonal only
+            rows = [list(row) for row in b.entries]
+            for i in range(n):
+                rows[i][i] = rows[i][i] + ck
+            b = m @ Matrix(rows, EXACT)
     return coeffs
 
 
@@ -918,7 +992,7 @@ def minimal_polynomial(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
         [[cols[j][i] for j in range(k)] for i in range(n * n)], EXACT
     )
     aug = Matrix([[target[i]] for i in range(n * n)], EXACT)
-    red, pivots = _rref(
+    red, pivots, _ = _rref(
         [list(system.entries[i]) + list(aug.entries[i]) for i in range(n * n)]
     )
     sol = [GR_ZERO] * k

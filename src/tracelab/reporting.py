@@ -11,6 +11,7 @@ is why wall-clock timings appear only in the human-readable table.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -115,6 +116,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path or '<string>'}:{exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # integer digit limit, deep nesting
+        raise ParseError(f"{path or '<string>'}: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("scenario must be a JSON object")
     for key in ("id", "case"):
@@ -130,8 +133,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
         raise SchemaError("backend: the torus case is numeric; use 'approx'")
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        tolerance = float(tolerance)
-    seed = int(data.get("seed", 0))
+        tolerance = _number(data, "tolerance", None, minimum=0)
+    seed = _number(data, "seed", 0, integer=True)
     payload = {
         k: v
         for k, v in data.items()
@@ -143,6 +146,28 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
     # validate eagerly so schema errors surface before any computation
     _build_payload(scenario)
     return scenario
+
+
+def _number(spec, key, default, where="", integer=False, minimum=None):
+    """``spec[key]`` (``default`` when absent): a finite JSON number, an
+    integer when ``integer``, at least ``minimum``.  Anything else is a
+    schema error naming the field."""
+    value = spec.get(key, default)
+    if integer:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+    if ok and minimum is not None:
+        ok = value >= minimum
+    if not ok:
+        kind = "integer" if integer else "finite number"
+        bound = "" if minimum is None else f" >= {minimum}"
+        name = f"{where}.{key}" if where else key
+        raise SchemaError(f"{name}: {kind}{bound} required, got {value!r}")
+    return value if integer else float(value)
 
 
 def _parse_scalar(value, backend: str, where: str):
@@ -282,6 +307,8 @@ def _build_test_function(spec, group, backend, where="test_function") -> Discret
 def _build_torus_twist(spec, where="twist") -> TorusTwist:
     if not isinstance(spec, dict) or "blocks" not in spec:
         raise SchemaError(f"{where}.blocks: required")
+    if not isinstance(spec["blocks"], list) or not spec["blocks"]:
+        raise SchemaError(f"{where}.blocks: nonempty list required")
     blocks = []
     for i, block in enumerate(spec["blocks"]):
         if not isinstance(block, dict):
@@ -300,13 +327,27 @@ def _build_torus_function(spec, where="test_function"):
     if not isinstance(spec, dict):
         raise SchemaError(f"{where}: must be an object")
     kind = spec.get("kind", "gaussian")
-    if kind == "gaussian":
-        return GaussianTestFunction(
-            width=float(spec.get("width", 1.0)), center=float(spec.get("center", 0.0))
-        )
-    if kind == "bump":
-        return BumpTestFunction(radius=float(spec.get("radius", 1.0)))
+    try:
+        if kind == "gaussian":
+            return GaussianTestFunction(
+                width=_number(spec, "width", 1.0, where),
+                center=_number(spec, "center", 0.0, where),
+            )
+        if kind == "bump":
+            return BumpTestFunction(radius=_number(spec, "radius", 1.0, where))
+    except ValueError as exc:  # a nonpositive width or radius
+        raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
+
+
+def _build_anchor(spec, where="bump_anchor"):
+    """(bump test function, K) of the anchor run; None when switched off."""
+    if not spec:
+        return None
+    if not isinstance(spec, dict):
+        raise SchemaError(f"{where}: must be an object")
+    f = _build_torus_function({"kind": "bump", "radius": spec.get("radius", 1.75)}, where)
+    return f, _number(spec, "K", 32, where, integer=True, minimum=0)
 
 
 def _build_payload(scenario: Scenario, backend_override: str | None = None):
@@ -322,20 +363,24 @@ def _build_payload(scenario: Scenario, backend_override: str | None = None):
         twist = _build_torus_twist(payload.get("twist"), "twist")
         f = _build_torus_function(payload.get("test_function"), "test_function")
         trunc = payload.get("truncation", {})
+        if not isinstance(trunc, dict):
+            raise SchemaError("truncation: must be an object")
         params = TruncationParams(
-            K=int(trunc.get("K", 8)), N=int(trunc.get("N", 8))
+            K=_number(trunc, "K", 8, "truncation", integer=True, minimum=0),
+            N=_number(trunc, "N", 8, "truncation", integer=True, minimum=0),
         )
-        anchor = payload.get("bump_anchor", {"radius": 1.75, "K": 32})
         return {
             "twist": twist,
             "f": f,
             "params": params,
-            "anchor": anchor,
+            "anchor": _build_anchor(payload.get("bump_anchor", {"radius": 1.75, "K": 32})),
             "backend": APPROX,
         }
     # spectral-model
     if "generators" not in payload or "delta" not in payload:
         raise SchemaError("spectral-model scenarios need 'generators' and 'delta'")
+    if not isinstance(payload["generators"], list) or not payload["generators"]:
+        raise SchemaError("generators: nonempty list of matrices required")
     gens = [
         _parse_matrix(rows, backend, f"generators[{i}]")
         for i, rows in enumerate(payload["generators"])
@@ -499,12 +544,9 @@ def _run_torus(scenario, tolerance, seed) -> TraceReport:
             f"residual {verification.residual!r} exceeds tolerance+tails"
         )
     # compactly supported anchor run for the same twist
-    anchor_spec = built["anchor"]
-    if anchor_spec:
-        anchor_f = BumpTestFunction(radius=float(anchor_spec.get("radius", 1.75)))
-        anchor_params = TruncationParams(
-            K=int(anchor_spec.get("K", 32)), N=built["params"].N
-        )
+    if built["anchor"]:
+        anchor_f, anchor_k = built["anchor"]
+        anchor_params = TruncationParams(K=anchor_k, N=built["params"].N)
         anchor = verify_torus(built["twist"], anchor_f, anchor_params, tol_value)
         report.extra["bump_anchor"] = {
             "spectral": format_complex(anchor.spectral_value),

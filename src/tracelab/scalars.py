@@ -45,24 +45,24 @@ class GaussianRational:
         d = re.denominator * im.denominator // _gcd(re.denominator, im.denominator)
         a = re.numerator * (d // re.denominator)
         b = im.numerator * (d // im.denominator)
-        g = _gcd(_gcd(abs(a), abs(b)), d)
-        object.__setattr__(self, "_a", a // g)
-        object.__setattr__(self, "_b", b // g)
-        object.__setattr__(self, "_d", d // g)
+        g = _gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
 
     @classmethod
     def _raw(cls, a: int, b: int, d: int):
         if d < 0:
             a, b, d = -a, -b, -d
-        g = _gcd(_gcd(abs(a) if a else 0, abs(b) if b else 0), d)
+        g = _gcd(a, b, d)
         if g > 1:
             a //= g
             b //= g
             d //= g
         out = object.__new__(cls)
-        object.__setattr__(out, "_a", a)
-        object.__setattr__(out, "_b", b)
-        object.__setattr__(out, "_d", d)
+        _set_a(out, a)
+        _set_b(out, b)
+        _set_d(out, d)
         return out
 
     @property
@@ -177,6 +177,13 @@ class GaussianRational:
             return im_text
         sign = "+" if im > 0 else ""
         return f"{re}{sign}{im_text}"
+
+
+# the slot setters: immutable instances are filled through these, which
+# is faster than object.__setattr__ by name on this hot path
+_set_a, _set_b, _set_d = (
+    GaussianRational.__dict__[name].__set__ for name in GaussianRational.__slots__
+)
 
 
 def _coerce(value):

@@ -47,6 +47,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Span,
+    _poly_eval_scalar,
     charpoly,
     eigenvalues,
     factor_gaussian,
@@ -308,20 +309,16 @@ def _eigen_pairs_for_probe(t: Matrix, ctx: ToleranceContext, thorough: bool = Fa
     """Probe eigenvalues: cheap and possibly partial unless thorough.
 
     Probing only needs seeds, not a complete spectrum, so the default
-    exact path scans a candidate list with determinant tests (an order of
-    magnitude cheaper than factoring the characteristic polynomial).  The
-    thorough retry and the approx backend return the full spectrum.
+    exact path evaluates the characteristic polynomial at a candidate list
+    (an order of magnitude cheaper than factoring it).  The thorough retry
+    and the approx backend return the full spectrum.
     """
     if t.backend == APPROX or thorough:
         pairs, _leftover = in_field_eigenvalues(t, ctx)
         return pairs
-    n = t.rows
-    ident = Matrix.identity(n, EXACT)
-    pairs = []
-    for lam in root_candidates(t.entries[i][i] for i in range(n)):
-        if not (t - ident.scale(lam)).is_invertible(ctx):
-            pairs.append((lam, None))
-    return pairs
+    coeffs = charpoly(t)
+    candidates = root_candidates(t.entries[i][i] for i in range(t.rows))
+    return [(lam, None) for lam in candidates if not _poly_eval_scalar(coeffs, lam)]
 
 
 def find_proper_submodule(m: AdmissibleModel):
@@ -483,7 +480,11 @@ def _algebra_closure(gens, dim: int, backend: str, ctx: ToleranceContext, cap: i
 def _radical_elements(algebra, backend: str, ctx: ToleranceContext):
     """Kernel of the trace form on the algebra (= radical in char 0)."""
     k = len(algebra)
-    gram = [[(algebra[i] @ algebra[j]).trace() for j in range(k)] for i in range(k)]
+    gram = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            # tr(AB) = tr(BA): each symmetric pair once
+            gram[i][j] = gram[j][i] = algebra[i].trace_product(algebra[j])
     combos = nullspace(Matrix(gram, backend), ctx)
     out = []
     for combo in combos:
@@ -845,12 +846,10 @@ def random_pi_filtration_length(
             )
             series = composition_series_data(twisted)
             length = sum(1 for f in series.factors if is_isomorphic(f, pi.rep))
-            trial_certified = True
         except IrreducibilityUndecided:
             continue
-        if length > best or (length == best and trial_certified and not certified):
-            best = length
-            certified = trial_certified
+        best = max(best, length)
+        certified = True
     return FiltrationSearch(best, certified, trials)
 
 

@@ -337,6 +337,98 @@ class TestMalformedDiscrete:
             pass
 
 
+    def test_huge_json_integer_is_input_error(self, tmp_path, capsys):
+        # json.loads refuses integer literals past Python's digit limit
+        text = json.dumps(bundled_scenario("disc-z-mod-2z-jordan"))
+        text = text.replace('"support": [[[', '"support": [[[' + "9" * 5000 + "], [", 1)
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {path}: ")
+        assert "digits" in captured.err
+
+
+# malformed torus inputs: (top-level overrides of the minimal torus
+# scenario, the JSON path the error must name)
+MALFORMED_TORUS = {
+    "width-string": (
+        {"test_function": {"kind": "gaussian", "width": "abc"}}, "test_function.width"
+    ),
+    "width-zero": ({"test_function": {"kind": "gaussian", "width": 0}}, "test_function"),
+    "center-list": ({"test_function": {"kind": "gaussian", "center": [1]}}, "test_function.center"),
+    "center-bool": (
+        {"test_function": {"kind": "gaussian", "center": True}}, "test_function.center"
+    ),
+    "radius-string": ({"test_function": {"kind": "bump", "radius": "x"}}, "test_function.radius"),
+    "radius-negative": ({"test_function": {"kind": "bump", "radius": -1}}, "test_function"),
+    "K-string": ({"truncation": {"K": "x", "N": 4}}, "truncation.K"),
+    "N-fraction": ({"truncation": {"K": 4, "N": 2.5}}, "truncation.N"),
+    "N-negative": ({"truncation": {"K": 4, "N": -1}}, "truncation.N"),
+    "truncation-list": ({"truncation": [4, 4]}, "truncation"),
+    "anchor-list": ({"bump_anchor": [1]}, "bump_anchor"),
+    "anchor-K-string": ({"bump_anchor": {"radius": 1.75, "K": "big"}}, "bump_anchor.K"),
+    "tolerance-string": ({"tolerance": "abc"}, "tolerance"),
+    "seed-string": ({"seed": "x"}, "seed"),
+    "blocks-number": ({"twist": {"blocks": 5}}, "twist.blocks"),
+    "blocks-empty": ({"twist": {"blocks": []}}, "twist.blocks"),
+}
+
+
+class TestMalformedTorus:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TORUS))
+    def test_input_error_names_field(self, tmp_path, capsys, case):
+        overrides, field_path = MALFORMED_TORUS[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(minimal_torus_scenario(**overrides), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {path}: {field_path}: ")
+        assert captured.out == ""
+
+    FUZZ_FIELDS = [
+        ("twist", "blocks"),
+        ("test_function",),
+        ("test_function", "width"),
+        ("test_function", "center"),
+        ("truncation", "K"),
+        ("truncation", "N"),
+        ("truncation",),
+        ("bump_anchor",),
+        ("tolerance",),
+        ("seed",),
+    ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.sampled_from(FUZZ_FIELDS),
+        value=TestMalformedDiscrete.JSON_VALUES | st.integers() | st.floats(),
+    )
+    def test_only_input_errors_escape_parse(self, keys, value):
+        data = json.loads(minimal_torus_scenario(bump_anchor={"radius": 1.75, "K": 32}))
+        try:
+            parse_scenario(json.dumps(with_fields(data, {keys: value})))
+        except (ParseError, SchemaError):
+            pass
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {("generators",): 5},
+            {("generators",): []},
+            {("generators",): [], ("delta",): {"scalar": "2"}},
+        ],
+    )
+    def test_generators_must_be_a_nonempty_list(self, tmp_path, capsys, fields):
+        data = {"id": "m", "case": "spectral-model", "generators": [[["1"]]], "delta": [["2"]]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(with_fields(data, fields)), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {path}: generators: ")
+
+
 class TestBatchIsolation:
     def good_and(self, tmp_path, first_text):
         first = tmp_path / "first.json"
