@@ -639,25 +639,6 @@ def charpoly(m: Matrix):
     return coeffs
 
 
-_X = sympy.symbols("x")
-
-
-def _to_sympy(value: GaussianRational):
-    return sympy.Rational(value.re) + sympy.Rational(value.im) * sympy.I
-
-
-def _from_sympy(value) -> GaussianRational:
-    import fractions
-
-    re, im = value.as_real_imag()
-    re = sympy.Rational(re)
-    im = sympy.Rational(im)
-    return GaussianRational(
-        fractions.Fraction(int(re.p), int(re.q)),
-        fractions.Fraction(int(im.p), int(im.q)),
-    )
-
-
 def _poly_eval_scalar(coeffs, x: GaussianRational) -> GaussianRational:
     acc = GR_ZERO
     for c in coeffs:
@@ -665,34 +646,134 @@ def _poly_eval_scalar(coeffs, x: GaussianRational) -> GaussianRational:
     return acc
 
 
-def _poly_deflate(coeffs, root):
-    """Synthetic division by (x - root); exact, remainder asserted zero."""
-    out = []
-    acc = GR_ZERO
-    for c in coeffs[:-1]:
-        acc = acc * root + c
-        out.append(acc)
+# -- factoring over Q(i) ------------------------------------------------------
+#
+# A polynomial is a list of Gaussian rationals, highest power first, with a
+# nonzero leading coefficient; ``[]`` is zero.  Factoring follows Trager's
+# norm method (Trager 1976; Cohen, GTM 138, 3.6): a squarefree p over Q(i)
+# is split by the factors over Z of the norm p(x - s i) * conj(p)(x + s i),
+# so sympy serves only as an integer factorizer.
+
+
+def _stripped(p):
+    k = 0
+    while k < len(p) and not p[k]:
+        k += 1
+    return p[k:]
+
+
+def _monic(p):
+    lead = p[0]
+    return p if lead == GR_ONE else [c / lead for c in p]
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = [GR_ZERO] * (n - len(a)) + a
+    b = [GR_ZERO] * (n - len(b)) + b
+    return _stripped([x - y for x, y in zip(a, b)])
+
+
+def _poly_mul(a, b):
+    out = [GR_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
     return out
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of ``a`` by a nonzero ``b``."""
+    rem = list(a)
+    lead, db = b[0], len(b) - 1
+    quot = []
+    for k in range(len(rem) - db):
+        q = rem[k] / lead
+        quot.append(q)
+        if q:
+            for j in range(1, db + 1):
+                rem[k + j] = rem[k + j] - q * b[j]
+    return quot, _stripped(rem[len(quot):])
+
+
+def _poly_gcd(a, b):
+    """Monic gcd by Euclid's algorithm, each remainder made monic."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+        if b:
+            b = _monic(b)
+    return _monic(a)
+
+
+def _poly_derivative(p):
+    n = len(p) - 1
+    return [c * (n - k) for k, c in enumerate(p[:-1])]
+
+
+def _poly_shift(p, c):
+    """``p(x + c)`` by Horner's rule."""
+    out = []
+    for coef in p:
+        out = [x + c * y for x, y in zip(out + [coef], [GR_ZERO] + out)]
+    return out
+
+
+def _squarefree_parts(f):
+    """Yun's algorithm: monic ``f`` as ``(part, multiplicity)`` pairs, the
+    parts squarefree, pairwise coprime and nonconstant."""
+    df = _poly_derivative(f)
+    a = _poly_gcd(f, df)
+    b = _poly_divmod(f, a)[0]
+    d = _poly_sub(_poly_divmod(df, a)[0], _poly_derivative(b))
+    out = []
+    mult = 1
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        b = _poly_divmod(b, a)[0]
+        d = _poly_sub(_poly_divmod(d, a)[0], _poly_derivative(b))
+        if len(a) > 1:
+            out.append((a, mult))
+        mult += 1
+    return out
+
+
+def _irreducible_factors(p):
+    """Monic irreducible factors over Q(i) of a monic squarefree ``p``."""
+    if len(p) <= 2:
+        return [p]
+    x = sympy.Symbol("x")
+    s = 0
+    while True:
+        # the norm of p(x - s i) has rational coefficients
+        q = _poly_shift(p, GaussianRational(0, -s))
+        norm = sympy.Poly(
+            _numerators(_poly_mul(q, [c.conjugate() for c in q]))[0], x, domain="ZZ"
+        )
+        if norm.is_sqf:
+            break
+        s += 1
+    factors = norm.factor_list()[1]
+    if len(factors) == 1:
+        return [p]
+    shift = GaussianRational(0, s)
+    return [
+        _poly_gcd(p, _poly_shift([GaussianRational(int(c)) for c in g.all_coeffs()], shift))
+        for g, _ in factors
+    ]
 
 
 def factor_gaussian(coeffs):
     """Factor a polynomial (highest power first) over Q(i).
 
-    Returns (monic factor coefficients, multiplicity) pairs in sympy's
-    order; one ``factor_list`` call.
+    Returns (monic factor coefficients, multiplicity) pairs: Yun's
+    squarefree parts, each split by Trager's norm with one integer
+    ``factor_list`` call (none for a linear part).
     """
-    n = len(coeffs) - 1
-    expr = sum(
-        (_to_sympy(c) * _X ** (n - k) for k, c in enumerate(coeffs)),
-        sympy.Integer(0),
-    )
-    poly = sympy.Poly(expr, _X, domain="QQ_I")
-    out = []
-    for factor, mult in poly.factor_list()[1]:
-        fac = [_from_sympy(sympy.expand(sympy.together(c))) for c in factor.all_coeffs()]
-        lead = fac[0]
-        out.append(([c / lead for c in fac], int(mult)))
-    return out
+    return [
+        (factor, mult)
+        for part, mult in _squarefree_parts(_monic(list(coeffs)))
+        for factor in _irreducible_factors(part)
+    ]
 
 
 # candidate roots worth a cheap exact evaluation before full factoring
@@ -734,7 +815,7 @@ def gaussian_rational_roots(coeffs, extra_candidates=()):
         progress = False
         for cand in candidates:
             while len(work) > 1 and not _poly_eval_scalar(work, cand):
-                work = _poly_deflate(work, cand)
+                work = _poly_divmod(work, [GR_ONE, -cand])[0]
                 found[cand] = found.get(cand, 0) + 1
                 progress = True
     leftover = 0

@@ -107,17 +107,18 @@ def load_scenario(path) -> Scenario:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read: {exc.strerror or exc}") from exc
     return parse_scenario(raw, path=str(path))
 
 
 def parse_scenario(text: str, path: str | None = None) -> Scenario:
+    # messages carry the location inside the text; callers name the file
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path or '<string>'}:{exc.lineno}: {exc.msg}") from exc
+        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # integer digit limit, deep nesting
-        raise ParseError(f"{path or '<string>'}: {exc}") from exc
+        raise ParseError(str(exc)) from exc
     if not isinstance(data, dict):
         raise SchemaError("scenario must be a JSON object")
     for key in ("id", "case"):

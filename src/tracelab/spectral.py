@@ -546,10 +546,7 @@ def _structural_backstop(m: AdmissibleModel):
                 return kernel
             continue
         coeffs = minimal_polynomial(c, ctx)
-        roots_factors = _minpoly_factors(coeffs)
-        if roots_factors is None:
-            continue
-        factors = roots_factors
+        factors = _minpoly_factors(coeffs)
         if len(factors) == 1 and factors[0][1] == 1:
             # c generates a field; conclusive only if it fills the commutant
             if factors[0][0] == len(commutant):
@@ -566,11 +563,12 @@ def _structural_backstop(m: AdmissibleModel):
 def _minpoly_factors(coeffs):
     """Factor an exact minimal polynomial over the Gaussian rationals.
 
-    Returns a list of (degree, multiplicity, monic coefficient list) or
-    None if sympy cannot factor (never observed; defensive).
+    Returns a list of (degree, multiplicity, monic coefficient list),
+    sorted by degree, then falling multiplicity, then coefficients, so the
+    split the backstop takes does not depend on the factorizer's order.
     """
     out = [(len(fac) - 1, mult, fac) for fac, mult in factor_gaussian(coeffs)]
-    out.sort(key=lambda item: (item[0], -item[1]))
+    out.sort(key=lambda item: (item[0], -item[1], [(c.re, c.im) for c in item[2]]))
     return out
 
 
@@ -766,12 +764,6 @@ class MultiplicityTable:
             raise TraceMismatch(
                 f"multiplicity table covers dim {total} of {self.ambient_dim}"
             )
-
-    def count_for(self, pi: PiClass) -> int:
-        for cls, count in self.entries:
-            if is_isomorphic(cls.rep, pi.rep):
-                return count
-        return 0
 
 
 def multiplicity_table(m: AdmissibleModel, series: SeriesData | None = None) -> MultiplicityTable:

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_matrix, gr, random_unimodular_exact
 from tracelab.errors import (
@@ -14,6 +17,7 @@ from tracelab.linalg import (
     Matrix,
     charpoly,
     eigenvalues,
+    factor_gaussian,
     gaussian_rational_roots,
     generalized_eigenspaces,
     intertwiner_space,
@@ -23,7 +27,7 @@ from tracelab.linalg import (
     resolvent,
     span_of,
 )
-from tracelab.scalars import APPROX, EXACT, GR_ONE, GR_ZERO, coerce
+from tracelab.scalars import APPROX, EXACT, GR_ONE, GR_ZERO, GaussianRational, coerce
 
 
 def brute_row_reduce(rows):
@@ -266,6 +270,112 @@ class TestPolynomials:
     def test_charpoly_requires_exact(self):
         with pytest.raises(BackendMismatch):
             charpoly(Matrix.identity(2, APPROX))
+
+
+def poly_mul(a, b):
+    out = [GR_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_product(factors):
+    out = [GR_ONE]
+    for factor, mult in factors:
+        for _ in range(mult):
+            out = poly_mul(out, factor)
+    return out
+
+
+def as_multiset(pairs):
+    return sorted(((tuple(f), m) for f, m in pairs), key=repr)
+
+
+def sympy_qqi_factors(coeffs):
+    """The oracle: sympy's factorization over its ``QQ_I`` domain, each
+    factor made monic."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(
+        [sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for c in coeffs],
+        x,
+        domain="QQ_I",
+    )
+    out = []
+    for factor, mult in poly.factor_list()[1]:
+        fac = []
+        for c in factor.all_coeffs():
+            re, im = sympy.expand(c).as_real_imag()
+            fac.append(GaussianRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))))
+        out.append(([c / fac[0] for c in fac], int(mult)))
+    return as_multiset(out)
+
+
+GAUSSIAN_INTEGERS = st.builds(gr, st.integers(-4, 4), st.integers(-4, 4))
+GAUSSIAN_RATIONALS = st.builds(
+    gr,
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """A leading scalar times monic factors of degree 1-3, some repeated."""
+    coefficients = draw(st.sampled_from([GAUSSIAN_INTEGERS, GAUSSIAN_RATIONALS]))
+    factors = [
+        (
+            [GR_ONE] + draw(st.lists(coefficients, min_size=degree, max_size=degree)),
+            draw(st.integers(1, 2)),
+        )
+        for degree in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ]
+    lead = draw(GAUSSIAN_INTEGERS.filter(bool))
+    return [lead * c for c in poly_product(factors)]
+
+
+X_MINUS_I, X_PLUS_I = [GR_ONE, gr(0, -1)], [GR_ONE, gr(0, 1)]
+X2_PLUS_1, X2_MINUS_5 = [GR_ONE, GR_ZERO, GR_ONE], [GR_ONE, GR_ZERO, gr(-5)]
+
+
+class TestFactorGaussian:
+    # name: (the polynomials multiplied into the input, the expected
+    # factors); the norms of x^2 + 1 and of (x - i)(x + i)(x^2 - 5) are not
+    # squarefree unshifted, so these two run the shift search
+    PINNED = {
+        "x^2+1": ([X2_PLUS_1], [(X_MINUS_I, 1), (X_PLUS_I, 1)]),
+        "(x-i)(x+i)(x^2-5)": (
+            [X_MINUS_I, X_PLUS_I, X2_MINUS_5],
+            [(X_MINUS_I, 1), (X_PLUS_I, 1), (X2_MINUS_5, 1)],
+        ),
+        "(x^2-(1+2i))(x^2+x+3i)(x^2-5)": (
+            [[GR_ONE, GR_ZERO, gr(-1, -2)], [GR_ONE, GR_ONE, gr(0, 3)], X2_MINUS_5],
+            [([GR_ONE, GR_ZERO, gr(-1, -2)], 1), ([GR_ONE, GR_ONE, gr(0, 3)], 1), (X2_MINUS_5, 1)],
+        ),
+        "degree one": (
+            [[gr(5), gr(-2, -3)]],
+            [([GR_ONE, gr(Fraction(-2, 5), Fraction(-3, 5))], 1)],
+        ),
+        "(x-1)^3(x^2+1)^2": (
+            [[GR_ONE, gr(-1)]] * 3 + [X2_PLUS_1] * 2,
+            [([GR_ONE, gr(-1)], 3), (X_MINUS_I, 2), (X_PLUS_I, 2)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned(self, name):
+        factors, expected = self.PINNED[name]
+        coeffs = poly_product([(f, 1) for f in factors])
+        result = factor_gaussian(coeffs)
+        assert as_multiset(result) == as_multiset(expected)
+        assert as_multiset(result) == sympy_qqi_factors(coeffs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(coeffs=factored_polynomials())
+    def test_matches_sympy_qqi(self, coeffs):
+        result = factor_gaussian(coeffs)
+        assert all(f[0] == GR_ONE for f, _ in result)
+        assert as_multiset(result) == sympy_qqi_factors(coeffs)
 
 
 class TestProjectorReconstruction:

@@ -218,6 +218,16 @@ class TestCli:
         bad.write_text("{", encoding="utf-8")
         assert main(["verify", str(bad)]) == 2
 
+    def test_input_error_names_the_file_once(self, tmp_path, capsys):
+        truncated = tmp_path / "trunc.json"
+        truncated.write_text('{"id": 1,', encoding="utf-8")
+        missing = tmp_path / "missing.json"
+        for path, detail in ((truncated, "line 1: "), (missing, "cannot read: ")):
+            assert main(["verify", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {path}: {detail}")
+            assert err.count(path.name) == 1
+
     def test_verify_math_failure_exit_one(self, tmp_path):
         path = tmp_path / "forced.json"
         path.write_text(jordan_scenario_text(), encoding="utf-8")
