@@ -396,9 +396,9 @@ class Span:
     """Growable subspace with membership tests.
 
     Exact backend: rows kept in reduced echelon form, so membership is an
-    exact reduction.  Approx backend: an orthonormal family built by
-    twice-iterated Gram-Schmidt; a candidate is dependent when its
-    residual drops below ``eps`` relative to its own norm.
+    exact reduction.  Approx backend: an orthonormal ``(n, k)`` ndarray
+    grown a block at a time by classical Gram-Schmidt run twice; the rank
+    of a block is decided by one SVD at ``eps`` (see ``add_block``).
     """
 
     def __init__(self, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CONTEXT):
@@ -406,16 +406,16 @@ class Span:
         self.backend = backend
         self.ctx = ctx
         self._rows = []  # exact: (pivot index, numerator triple), kept reduced
-        self._np_rows = []
+        self._q = np.zeros((dim, 0), dtype=complex)  # approx: orthonormal columns
 
     @property
     def dim(self) -> int:
-        return len(self._rows) if self.backend == EXACT else len(self._np_rows)
+        return len(self._rows) if self.backend == EXACT else self._q.shape[1]
 
     def basis(self):
         if self.backend == EXACT:
             return [_entries(row) for _, row in self._rows]
-        return [tuple(complex(x) for x in row) for row in self._np_rows]
+        return [tuple(col) for col in self._q.T.tolist()]
 
     def _reduce_exact(self, vector):
         """Exact: ``vector`` as a numerator triple, reduced by the rows."""
@@ -425,13 +425,37 @@ class Span:
                 v = _eliminated(v, row, pivot)
         return v
 
-    def _residual(self, v, passes: int = 2):
-        """Approx: ``v`` (an array) minus its projection onto the span, by
-        ``passes`` sweeps of Gram-Schmidt over the unit rows."""
-        for _ in range(passes):
-            for row in self._np_rows:
-                v = v - np.vdot(row, v) * row
-        return v
+    def _residual(self, w):
+        """Approx: ``w`` (a vector or a block of columns) minus its
+        projection onto the span, by two passes of classical Gram-Schmidt."""
+        q = self._q
+        for _ in range(2):
+            w = w - q @ (q.conj().T @ w)
+        return w
+
+    def add_block(self, block):
+        """Approx: add the columns of ``block`` (an ``(n, m)`` array); returns
+        the new orthonormal columns, an ``(n, r)`` array.
+
+        Columns of norm at most the zero threshold are dropped and the rest
+        scaled to unit norm, so a column of norm at least 1 is dependent
+        exactly when its residual is below ``eps`` relative to its norm.  The
+        rank of the residual block is the number of its singular values
+        above the zero threshold.  A block of full rank is appended as its
+        polar factor, the nearest orthonormal block, so an orthonormal block
+        orthogonal to the span comes back as itself (callers such as
+        ``restrict_model`` rely on a basis keeping its own coordinates); a
+        rank-deficient one as its leading left singular vectors.
+        """
+        w = np.asarray(block, dtype=complex)
+        norms = np.linalg.norm(w, axis=0)
+        keep = norms > self.ctx.zero_threshold(1)
+        w = self._residual(w[:, keep] / norms[keep])
+        u, sv, vh = np.linalg.svd(w, full_matrices=False)
+        rank = int(np.sum(sv > self.ctx.zero_threshold(1)))
+        new = u @ vh if rank == len(sv) else u[:, :rank]
+        self._q = np.hstack([self._q, new])
+        return new
 
     def add(self, vector) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
@@ -451,16 +475,7 @@ class Span:
             updated.sort(key=lambda item: item[0])
             self._rows = updated
             return True
-        v = np.array(vector, dtype=complex)
-        norm0 = np.linalg.norm(v)
-        if self.ctx.is_zero(norm0):
-            return False
-        v = self._residual(v)
-        res = np.linalg.norm(v)
-        if self.ctx.is_zero(res, norm0):
-            return False
-        self._np_rows.append(v / res)
-        return True
+        return self.add_block(np.array(vector, dtype=complex)[:, None]).shape[1] > 0
 
     def contains(self, vector) -> bool:
         if self.backend == EXACT:
@@ -476,39 +491,36 @@ class Span:
         return self.dim == self.ambient_dim
 
     def extend_to_full(self):
-        """Add standard unit vectors until the span is full; returns them.
+        """Complete the span to the whole space; returns the added vectors.
 
-        Exact: the first independent ones in index order.  Approx: greedy
-        max-residual choice, which keeps the change of basis
-        well-conditioned (a near-parallel complement would amplify
-        round-off into stability defects).
+        Exact: the first independent standard unit vectors in index order.
+        Approx: the orthonormal complement, columns ``k..n`` of the Q factor
+        of ``[q | I]``, which keeps the change of basis well-conditioned (a
+        near-parallel complement would amplify round-off into stability
+        defects).
         """
-        units = Matrix.identity(self.ambient_dim, self.backend).columns()
-        added = []
-        if self.backend == EXACT:
-            for e in units:
-                if self.is_full():
-                    break
-                if self.add(e):
-                    added.append(e)
-            return added
-        while not self.is_full():
-            best_idx = None
-            best_res = -1.0
-            for i, e in enumerate(units):
-                res = float(np.linalg.norm(self._residual(np.array(e, dtype=complex), passes=1)))
-                if res > best_res + 1e-12:
-                    best_res = res
-                    best_idx = i
-            e = units[best_idx]
-            if not self.add(e):
+        n = self.ambient_dim
+        if self.backend == APPROX:
+            q, _ = np.linalg.qr(np.hstack([self._q, np.eye(n)]))
+            new = self.add_block(q[:, self.dim :])
+            if not self.is_full():
                 raise NotStable("cannot extend basis to the full space")
-            added.append(e)
+            return [tuple(col) for col in new.T.tolist()]
+        added = []
+        for e in Matrix.identity(n, EXACT).columns():
+            if self.is_full():
+                break
+            if self.add(e):
+                added.append(e)
         return added
 
 
 def span_of(vectors, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CONTEXT) -> Span:
+    """The span of ``vectors``; on approx they are added as one block."""
     span = Span(dim, backend, ctx)
+    if backend == APPROX:
+        span.add_block(np.array(vectors, dtype=complex).reshape(len(vectors), dim).T)
+        return span
     for v in vectors:
         span.add(v)
     return span

@@ -159,9 +159,6 @@ class GaussianRational:
         """Field norm ``re**2 + im**2`` (a nonnegative rational)."""
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
-    def is_real(self) -> bool:
-        return self._b == 0
-
     def to_complex(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
 
@@ -290,9 +287,6 @@ class ToleranceContext:
 
     def is_zero(self, z: complex, scale: float = 1.0) -> bool:
         return abs(z) <= self.zero_threshold(scale)
-
-    def close(self, a: complex, b: complex, scale: float = 1.0) -> bool:
-        return abs(a - b) <= self.zero_threshold(scale)
 
     def cluster_radius(self, scale: float = 1.0) -> float:
         return 10.0 * self.eps * max(1.0, scale)

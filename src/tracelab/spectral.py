@@ -253,23 +253,22 @@ def spin(seeds, mats, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CO
     """Smallest invariant subspace containing the seeds.
 
     Generator images are invertible, so closing under the forward images
-    alone already closes under the generated group algebra.  Closure is
-    swept over the span's own (canonical/orthonormal) basis rather than
-    the raw spun vectors: raw closure does not bound the invariance
-    defect of the span when the raw vectors are nearly parallel.
+    alone already closes under the generated group algebra.  One frontier
+    loop maps each new direction exactly once: exact, the vectors that
+    enlarged the echelon span; approx, the span's own new orthonormal
+    block (block Krylov), never the raw spun vectors, whose closure does
+    not bound the invariance defect when they are nearly parallel.
     """
     span = Span(dim, backend, ctx)
-    for s in seeds:
-        span.add(s)
-    changed = True
-    while changed and not span.is_full():
-        changed = False
-        for b in list(span.basis()):
-            for mat in mats:
-                if span.add(mat.apply(b)):
-                    changed = True
-                    if span.is_full():
-                        return span
+    if backend == APPROX:
+        arrays = [m.to_numpy() for m in mats]
+        new = span.add_block(np.array(seeds, dtype=complex).reshape(len(seeds), dim).T)
+        while new.shape[1] and not span.is_full():
+            new = span.add_block(np.hstack([a @ new for a in arrays]))
+        return span
+    new = [s for s in seeds if span.add(s)]
+    while new and not span.is_full():
+        new = [w for w in (m.apply(v) for v in new for m in mats) if span.add(w)]
     return span
 
 

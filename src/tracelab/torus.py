@@ -33,7 +33,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GrowthInadmissible, SizeLimit, TailBoundExceedsTolerance
-from .linalg import Matrix, generalized_eigenspaces
+from .linalg import Matrix
 from .scalars import APPROX, DEFAULT_CONTEXT, ToleranceContext, one, zero
 from .spectral import AdmissibleModel, default_resolvent_sample
 
@@ -105,15 +105,6 @@ class TorusTwist:
 
     def direct_sum(self, other: "TorusTwist") -> "TorusTwist":
         return TorusTwist(self.blocks + other.blocks)
-
-    @staticmethod
-    def from_monodromy(matrix: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT) -> "TorusTwist":
-        decomp = generalized_eigenspaces(matrix.to_approx(), None, ctx)
-        blocks = []
-        for data in decomp:
-            for size in data.block_sizes:
-                blocks.append((data.eigenvalue, size))
-        return TorusTwist(tuple(blocks))
 
 
 def trivial_torus_twist(dim: int = 1) -> TorusTwist:

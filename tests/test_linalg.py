@@ -24,6 +24,7 @@ from tracelab.linalg import (
     minimal_polynomial,
     nullspace,
     rank,
+    Span,
     resolvent,
     span_of,
 )
@@ -47,6 +48,59 @@ def brute_row_reduce(rows):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[pivots])]
         pivots += 1
     return pivots
+
+
+class TestApproxSpan:
+    def test_zero_vector_and_zero_block_add_nothing(self):
+        span = Span(3, APPROX)
+        assert not span.add((0j, 0j, 0j))
+        assert span.add_block(np.zeros((3, 4))).shape == (3, 0)
+        assert span.dim == 0
+
+    def test_repeated_direction_adds_one(self):
+        span = Span(3, APPROX)
+        v = np.array([1.0, 2.0j, -1.0])
+        new = span.add_block(np.column_stack([v, 3 * v, -2j * v]))
+        assert new.shape == (3, 1) and span.dim == 1
+        assert span.contains(tuple(v))
+
+    def test_orthonormal_block_keeps_its_columns(self):
+        # restrict_model reads a submodule in the coordinates of its own basis
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+        span = span_of([tuple(col) for col in q.T], 5, APPROX)
+        assert np.allclose(np.array(span.basis()).T, q, rtol=0, atol=10 * span.ctx.zero_threshold(1))
+
+    def test_extend_full_span_adds_nothing(self):
+        span = span_of([(1.0, 1.0), (1.0, -1.0)], 2, APPROX)
+        assert span.is_full()
+        assert span.extend_to_full() == []
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_extend_empty_span_is_orthonormal(self, n):
+        span = Span(n, APPROX)
+        q = np.array(span.extend_to_full()).T
+        assert q.shape == (n, n) and span.is_full()
+        assert np.allclose(q.conj().T @ q, np.eye(n), rtol=0, atol=10 * span.ctx.zero_threshold(1))
+
+    def test_dimension_one(self):
+        span = Span(1, APPROX)
+        assert span.add((2.5j,))
+        assert not span.add((-1.0,))
+        assert span.contains((7.0,)) and span.is_full()
+        assert abs(abs(span.basis()[0][0]) - 1) <= span.ctx.zero_threshold(1)
+
+    def test_contains_after_block_add(self):
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        span = Span(6, APPROX)
+        assert span.add_block(block).shape == (6, 3)
+        for col in block.T:
+            assert span.contains(tuple(col))
+        assert span.contains(tuple(block @ np.array([1.0, -2.0, 0.5j])))
+        assert not span.contains(tuple(rng.normal(size=6)))
+        completed = span.extend_to_full()
+        assert len(completed) == 3 and span.is_full()
 
 
 class TestNullspace:

@@ -27,6 +27,8 @@ from tracelab.spectral import (
     spectral_projection_power_iteration,
     spectral_trace,
     spectrum,
+    spin,
+    split_basis,
     subquotient_spectrum_check,
 )
 
@@ -322,3 +324,27 @@ class TestDeltaStabilityAcrossResolventSample:
                     r = resolvent(m.delta, lam)
                     for v in basis:
                         assert space.contains(r.apply(v))
+
+
+class TestApproxSpinAgainstExact:
+    """The exact backend is the oracle for the approx span built by ``spin``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_spin_spans_agree(self, seed):
+        rng = random.Random(seed)
+        m, *_ = random_exact_model(rng, max_dim=8)
+        n = m.dim
+        unit = tuple(gr(1) if i == 0 else gr(0) for i in range(n))
+        gaussian = tuple(gr(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n - 1))
+        gaussian = (gr(rng.randint(1, 3), rng.randint(-3, 3)),) + gaussian
+        approx_gens = [g.to_approx() for g in m.generators]
+        ctx = m.context
+        for seed_vector in (unit, gaussian):
+            exact = spin([seed_vector], m.generators, n, EXACT)
+            approx = spin([tuple(x.to_complex() for x in seed_vector)], approx_gens, n, APPROX, ctx)
+            assert approx.dim == exact.dim
+            for v in exact.basis():
+                assert approx.contains(tuple(x.to_complex() for x in v))
+            p = split_basis(approx.basis(), n, APPROX, ctx).p.to_numpy()
+            defect = np.linalg.norm(p.conj().T @ p - np.eye(n))
+            assert defect <= 10 * ctx.zero_threshold(1)
