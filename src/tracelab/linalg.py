@@ -120,23 +120,29 @@ def _eliminated(t, row, c):
 
 
 class Matrix:
-    """Immutable dense matrix over one scalar backend."""
+    """Immutable dense matrix over one scalar backend.
+
+    Exact entries are tuples of :class:`GaussianRational` rows; approx
+    entries are one read-only ``(rows, cols)`` complex ndarray.  Scalars an
+    approx matrix hands back (traces, determinants, vector entries) are
+    Python ``complex``.
+    """
 
     __slots__ = ("rows", "cols", "backend", "entries")
 
     def __init__(self, entries, backend=None):
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
-        data = []
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-            data.append(tuple(row))
         if backend is None:
-            backend = backend_of(data[0][0]) if rows and cols else EXACT
+            backend = backend_of(entries[0][0]) if rows and cols else EXACT
         if backend == APPROX:
-            data = [tuple(complex(x) for x in row) for row in data]
+            data = np.array(entries, dtype=complex).reshape(rows, cols)
+            data.flags.writeable = False
         else:
+            data = tuple(map(tuple, entries))
             for row in data:
                 for x in row:
                     if not isinstance(x, GaussianRational):
@@ -146,7 +152,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "entries", tuple(data))
+        object.__setattr__(self, "entries", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -174,54 +180,62 @@ class Matrix:
     def block_diag(blocks) -> "Matrix":
         backend = same_backend(*[b.backend for b in blocks])
         n = sum(b.rows for b in blocks)
-        grid = [[zero(backend)] * n for _ in range(n)]
+        off = zero(backend)
+        grid = []
         at = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    grid[at + i][at + j] = b.entries[i][j]
+            for row in b.entries:
+                grid.append([off] * at + list(row) + [off] * (n - at - b.cols))
             at += b.rows
         return Matrix(grid, backend)
 
     @staticmethod
     def from_numpy(array) -> "Matrix":
-        return Matrix([[complex(x) for x in row] for row in array], APPROX)
+        return Matrix(array, APPROX)
 
     # -- basic algebra -----------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
+        if self.backend == APPROX:
+            return Matrix(self.entries + other.entries, APPROX)
         return Matrix(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ],
-            self.backend,
+            EXACT,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
+        if self.backend == APPROX:
+            return Matrix(self.entries - other.entries, APPROX)
         return Matrix(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ],
-            self.backend,
+            EXACT,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.entries], self.backend)
+        if self.backend == APPROX:
+            return Matrix(-self.entries, APPROX)
+        return Matrix([[-a for a in row] for row in self.entries], EXACT)
 
     def scale(self, scalar) -> "Matrix":
         scalar = coerce(scalar, self.backend)
-        return Matrix([[scalar * a for a in row] for row in self.entries], self.backend)
+        if self.backend == APPROX:
+            return Matrix(scalar * self.entries, APPROX)
+        return Matrix([[scalar * a for a in row] for row in self.entries], EXACT)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         same_backend(self.backend, other.backend)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if self.backend == APPROX:
-            return Matrix.from_numpy(self.to_numpy() @ other.to_numpy())
+            return Matrix(self.entries @ other.entries, APPROX)
         cols = [_numerators(col) for col in zip(*other.entries)]
         return Matrix(
             [[_dot(row, col) for col in cols] for row in map(_numerators, self.entries)],
@@ -229,14 +243,14 @@ class Matrix:
         )
 
     def apply(self, vector):
-        """Matrix-vector product (vector as a tuple of scalars)."""
+        """Matrix-vector product (vector as a tuple of scalars); exact only,
+        approx callers multiply ndarrays from :meth:`to_numpy`."""
+        if self.backend != EXACT:
+            raise BackendMismatch("apply is an exact-backend primitive")
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        if self.backend == EXACT:
-            vec = _numerators(vector)
-            return tuple(_dot(row, vec) for row in map(_numerators, self.entries))
-        start = zero(APPROX)
-        return tuple(sum((a * v for a, v in zip(row, vector)), start) for row in self.entries)
+        vec = _numerators(vector)
+        return tuple(_dot(row, vec) for row in map(_numerators, self.entries))
 
     def trace_product(self, other: "Matrix"):
         """``tr(self @ other)``.  Exact: the sum of ``self[p][q] * other[q][p]``,
@@ -266,10 +280,18 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)), self.backend)
+        if self.backend == APPROX:
+            return Matrix(self.entries.T, APPROX)
+        return Matrix(list(zip(*self.entries)), EXACT)
 
     def trace(self):
-        return sum((self.entries[i][i] for i in range(self.rows)), zero(self.backend))
+        if self.backend == APPROX:
+            return complex(np.trace(self.entries))
+        return sum((self.entries[i][i] for i in range(self.rows)), GR_ZERO)
+
+    def diagonal_block(self, lo: int, hi: int) -> "Matrix":
+        """The square block of rows and columns ``lo..hi``."""
+        return Matrix([row[lo:hi] for row in self.entries[lo:hi]], self.backend)
 
     @property
     def shape(self):
@@ -283,13 +305,16 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.backend == other.backend
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
+        if self.backend != other.backend or self.shape != other.shape:
+            return False
+        if self.backend == APPROX:
+            return bool(np.array_equal(self.entries, other.entries))
+        return self.entries == other.entries
 
     def __hash__(self):
+        if self.backend == APPROX:
+            # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+            return hash((APPROX, self.shape, (self.entries + 0.0).tobytes()))
         return hash((self.backend, self.entries))
 
     def __repr__(self):
@@ -298,8 +323,9 @@ class Matrix:
     # -- analysis helpers --------------------------------------------------
 
     def to_numpy(self):
+        """Approx: the stored read-only array.  Exact: a new float array."""
         if self.backend == APPROX:
-            return np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
+            return self.entries
         return np.array(
             [[x.to_complex() for x in row] for row in self.entries], dtype=complex
         ).reshape(self.rows, self.cols)
@@ -307,31 +333,32 @@ class Matrix:
     def to_approx(self) -> "Matrix":
         if self.backend == APPROX:
             return self
-        return Matrix([[x.to_complex() for x in row] for row in self.entries], APPROX)
+        return Matrix(self.to_numpy(), APPROX)
 
     def scale_bound(self) -> float:
         """Max-entry magnitude, used to make approx thresholds scale-aware."""
-        best = 0.0
-        for row in self.entries:
-            for x in row:
-                mag = abs(x) if self.backend == APPROX else math.sqrt(float(x.norm()))
-                if mag > best:
-                    best = mag
-        return best
+        if self.backend == APPROX:
+            return float(np.abs(self.entries).max(initial=0.0))
+        return max(
+            (math.sqrt(float(x.norm())) for row in self.entries for x in row),
+            default=0.0,
+        )
 
     def is_zero(self, ctx: ToleranceContext = DEFAULT_CONTEXT) -> bool:
         if self.backend == EXACT:
             return all(not x for row in self.entries for x in row)
-        return all(ctx.is_zero(x) for row in self.entries for x in row)
+        return bool(np.all(np.abs(self.entries) <= ctx.zero_threshold()))
 
     def columns(self):
+        if self.backend == APPROX:
+            return [tuple(col) for col in self.entries.T.tolist()]
         return [tuple(row[j] for row in self.entries) for j in range(self.cols)]
 
     def det(self, ctx: ToleranceContext = DEFAULT_CONTEXT):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self.backend == APPROX:
-            return complex(np.linalg.det(self.to_numpy()))
+            return complex(np.linalg.det(self.entries))
         _, pivots, det = _rref(self.entries)
         return det if len(pivots) == self.rows else GR_ZERO
 
@@ -341,7 +368,7 @@ class Matrix:
         if self.backend == APPROX:
             if not self.is_invertible(ctx):
                 raise SpectralPole("matrix is singular within tolerance")
-            return Matrix.from_numpy(np.linalg.inv(self.to_numpy()))
+            return Matrix(np.linalg.inv(self.entries), APPROX)
         sol = solve_exact(self, Matrix.identity(self.rows, EXACT))
         if sol is None:
             raise SpectralPole("matrix is exactly singular")
@@ -355,21 +382,17 @@ class Matrix:
             return False
         if self.backend == EXACT:
             return bool(self.det())
-        sv = np.linalg.svd(self.to_numpy(), compute_uv=False)
+        sv = np.linalg.svd(self.entries, compute_uv=False)
         return bool(sv[-1] > ctx.zero_threshold(sv[0]))
 
     def agrees_with(self, other: "Matrix", ctx: ToleranceContext = DEFAULT_CONTEXT) -> bool:
-        """Exact: equality.  Approx: every entry within ten zero thresholds
+        """Exact: equality.  Approx: every entry within the cluster radius
         at the larger entry scale of the two matrices."""
+        self._check_shape(other)
         if self.backend == EXACT:
             return self == other
         scale = max(self.scale_bound(), other.scale_bound(), 1.0)
-        thr = ctx.zero_threshold(scale) * 10
-        return all(
-            abs(x - y) <= thr
-            for rx, ry in zip(self.entries, other.entries)
-            for x, y in zip(rx, ry)
-        )
+        return bool(np.all(np.abs(self.entries - other.entries) <= ctx.cluster_radius(scale)))
 
     def lower_blocks_negligible(self, offsets, factor, ctx: ToleranceContext = DEFAULT_CONTEXT, scale_with=()) -> bool:
         """Whether the blocks below the diagonal vanish.
@@ -379,17 +402,20 @@ class Matrix:
         none exceeds ``factor`` zero thresholds at the entry scale of this
         matrix and of ``scale_with``.
         """
-        below = (
-            self.entries[i][j]
-            for lo, hi in zip(offsets, offsets[1:])
-            for i in range(hi, self.rows)
-            for j in range(lo, hi)
-        )
+        cuts = list(zip(offsets, offsets[1:]))
         if self.backend == EXACT:
-            return not any(below)
+            return not any(
+                self.entries[i][j]
+                for lo, hi in cuts
+                for i in range(hi, self.rows)
+                for j in range(lo, hi)
+            )
         scale = max(self.scale_bound(), *(m.scale_bound() for m in scale_with), 1.0)
-        thr = ctx.zero_threshold(scale) * factor
-        return not any(abs(x) > thr for x in below)
+        worst = max(
+            (np.abs(self.entries[hi:, lo:hi]).max(initial=0.0) for lo, hi in cuts),
+            default=0.0,
+        )
+        return bool(worst <= ctx.zero_threshold(scale) * factor)
 
 
 class Span:
@@ -596,19 +622,17 @@ def nullspace(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
         return []
     if m.rows == 0:
         return Matrix.identity(m.cols, APPROX).columns()
-    a = m.to_numpy()
-    _, sv, vh = np.linalg.svd(a)
+    _, sv, vh = np.linalg.svd(m.entries)
     scale = sv[0] if len(sv) else 1.0
-    thr = ctx.zero_threshold(scale)
-    rank = int(np.sum(sv > thr))
-    return [tuple(complex(x) for x in np.conj(vh[i])) for i in range(rank, m.cols)]
+    rank = int(np.sum(sv > ctx.zero_threshold(scale)))
+    return [tuple(v) for v in vh[rank:].conj().tolist()]
 
 
 def rank(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT) -> int:
     if m.backend == EXACT:
         _, pivots, _ = _rref(m.entries)
         return len(pivots)
-    sv = np.linalg.svd(m.to_numpy(), compute_uv=False)
+    sv = np.linalg.svd(m.entries, compute_uv=False)
     if len(sv) == 0:
         return 0
     return int(np.sum(sv > ctx.zero_threshold(sv[0])))

@@ -180,38 +180,29 @@ def split_basis(vectors, dim: int, backend: str, ctx: ToleranceContext = DEFAULT
     return BasisSplit(tuple(basis), tuple(complement), p, p.inverse(ctx))
 
 
-def transported_blocks(m: Matrix, split: BasisSplit, ctx: ToleranceContext = DEFAULT_CONTEXT):
-    """(restriction, quotient, stable) blocks of m in the adapted basis."""
-    d = split.sub_dim
-    t = split.p_inv @ m @ split.p
-    n = m.rows
-    stable = t.lower_blocks_negligible((0, d, n), 10.0, ctx, scale_with=(m,))
-    restriction = Matrix([row[:d] for row in t.entries[:d]], m.backend) if d else None
-    quotient = (
-        Matrix([row[d:] for row in t.entries[d:]], m.backend) if d < n else None
-    )
-    return restriction, quotient, stable
+def _transported_model(m: AdmissibleModel, basis, block: int, label_suffix: str):
+    """The model ``m`` induces on diagonal block ``block`` of the basis
+    adapted to ``basis``: 0 is the subspace, 1 the quotient by it.
+    Returns (model, split); NotStable when the subspace is not invariant."""
+    ctx = m.context
+    split = split_basis(basis, m.dim, m.backend, ctx)
+    d, n = split.sub_dim, m.dim
+    lo, hi = ((0, d), (d, n))[block]
+
+    def transported(x: Matrix, name: str) -> Matrix:
+        t = split.p_inv @ x @ split.p
+        if not t.lower_blocks_negligible((0, d, n), 10.0, ctx, scale_with=(x,)):
+            raise NotStable(f"subspace is not invariant under {name}")
+        return t.diagonal_block(lo, hi)
+
+    gens = tuple(transported(g, "a generator image") for g in m.generators)
+    delta = transported(m.delta, "delta")
+    return AdmissibleModel(gens, delta, m.resolvent_sample, m.label + label_suffix, ctx), split
 
 
 def restrict_model(m: AdmissibleModel, basis, label_suffix="|sub") -> AdmissibleModel:
     """Model induced on an invariant subspace; NotStable when it is not one."""
-    split = split_basis(basis, m.dim, m.backend, m.context)
-    gens = []
-    for g in m.generators:
-        r, _, stable = transported_blocks(g, split, m.context)
-        if not stable:
-            raise NotStable("subspace is not invariant under a generator image")
-        gens.append(r)
-    delta_r, _, stable = transported_blocks(m.delta, split, m.context)
-    if not stable:
-        raise NotStable("subspace is not invariant under delta")
-    return AdmissibleModel(
-        tuple(gens),
-        delta_r,
-        m.resolvent_sample,
-        m.label + label_suffix,
-        m.context,
-    )
+    return _transported_model(m, basis, 0, label_suffix)[0]
 
 
 def quotient_model(m: AdmissibleModel, basis, label_suffix="|quo"):
@@ -220,23 +211,7 @@ def quotient_model(m: AdmissibleModel, basis, label_suffix="|quo"):
     Returns (model, lift) where lift maps quotient-coordinate vectors to
     ambient representatives.
     """
-    split = split_basis(basis, m.dim, m.backend, m.context)
-    gens = []
-    for g in m.generators:
-        _, q, stable = transported_blocks(g, split, m.context)
-        if not stable:
-            raise NotStable("subspace is not invariant under a generator image")
-        gens.append(q)
-    _, delta_q, stable = transported_blocks(m.delta, split, m.context)
-    if not stable:
-        raise NotStable("subspace is not invariant under delta")
-    quotient = AdmissibleModel(
-        tuple(gens),
-        delta_q,
-        m.resolvent_sample,
-        m.label + label_suffix,
-        m.context,
-    )
+    quotient, split = _transported_model(m, basis, 1, label_suffix)
     complement = split.complement
 
     def lift(vector):
@@ -950,11 +925,7 @@ def spectral_projection_power_iteration(
         solved = np.linalg.solve(coeff, stack)
         estimate = Matrix.from_numpy(solved[0].reshape(m.dim, m.dim))
         if prev is not None:
-            diff = max(
-                abs(a - b)
-                for ra, rb in zip(estimate.entries, prev.entries)
-                for a, b in zip(ra, rb)
-            )
+            diff = float(np.max(np.abs(estimate.to_numpy() - prev.to_numpy())))
             if diff <= tol / 4.0:
                 return estimate
             if diff < best_diff:
@@ -999,12 +970,7 @@ def spectral_trace(m: AdmissibleModel, f_op: Matrix, series: SeriesData | None =
     # block lower-triangular part must vanish: f_op preserves the flag
     if not t.lower_blocks_negligible(offsets, 100, m.context):
         raise NotStable("operator does not preserve the composition flag")
-    block_traces = []
-    for bi in range(len(sizes)):
-        tr = zero(m.backend)
-        for i in range(offsets[bi], offsets[bi + 1]):
-            tr = tr + t.entries[i][i]
-        block_traces.append(tr)
+    block_traces = [t.diagonal_block(lo, hi).trace() for lo, hi in zip(offsets, offsets[1:])]
     per_class = {}
     for idx, tr in zip(series.class_of_factor, block_traces):
         per_class.setdefault(idx, []).append(tr)
@@ -1025,7 +991,7 @@ def spectral_trace(m: AdmissibleModel, f_op: Matrix, series: SeriesData | None =
                 f"spectral side {spectral_value} != direct trace {direct}"
             )
     else:
-        slack = 1e-9 * max(1.0, abs(direct))
+        slack = m.context.cluster_radius(abs(direct))
         if abs(spectral_value - direct) > slack:
             raise TraceMismatch(
                 f"spectral side {spectral_value!r} deviates from direct trace "
@@ -1087,7 +1053,7 @@ def subquotient_spectrum_check(
                 arr, *_ = np.linalg.lstsq(
                     split.p.to_numpy(), np.array(v, dtype=complex), rcond=None
                 )
-                sol = tuple(complex(x) for x in arr[: large.dim])
+                sol = tuple(arr[: large.dim].tolist())
             coords.append(sol)
         small_in_coords = coords
     if small_in_coords:

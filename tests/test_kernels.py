@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unimodular_exact
-from tracelab.errors import SpectralPole
+from tracelab.errors import BackendMismatch, SpectralPole
 from tracelab.linalg import Matrix, charpoly, nullspace, rank, root_candidates, solve_exact
 from tracelab.scalars import DEFAULT_CONTEXT, EXACT, GR_ONE, GR_ZERO, GaussianRational
 from tracelab.spectral import _eigen_pairs_for_probe
@@ -158,9 +158,9 @@ class TestProducts:
         vector = tuple(row[0] for row in b)
         expected = tuple(row[0] for row in ref_product(a, [[x] for x in vector]))
         assert Matrix(a, EXACT).apply(vector) == expected
-        # approx: the plain complex sum, entry by entry, bit for bit
-        m, v = approx(a), tuple(x.to_complex() for x in vector)
-        assert m.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), 0j) for row in m.entries)
+        # approx: an exact-backend primitive; float callers multiply ndarrays
+        with pytest.raises(BackendMismatch):
+            approx(a).apply(tuple(x.to_complex() for x in vector))
 
     @SETTINGS
     @given(pair=trace_pairs())
@@ -177,6 +177,46 @@ class TestProducts:
         a = Matrix(identity(2), EXACT)
         with pytest.raises(ValueError):
             a.trace_product(Matrix([[GR_ONE] * 3] * 2, EXACT))
+
+
+# -- approx numpy expressions ------------------------------------------------------------
+
+
+def near(f, e):
+    """An approx matrix within rounding of the exact one (numpy may sum
+    and multiply in another order than a per-entry loop)."""
+    tol = 1e-12 * max(1.0, e.scale_bound())
+    return f.shape == e.shape and np.allclose(f.to_numpy(), e.to_numpy(), rtol=0, atol=tol)
+
+
+class TestApproxAgainstExact:
+    """Each approx operation is a numpy expression; the exact backend is
+    its oracle.  No nonzero entry drawn here is near the zero threshold,
+    so every tolerance decision must match the exact one."""
+
+    @SETTINGS
+    @given(pair=trace_pairs(), scalar=SCALARS)
+    def test_arithmetic(self, pair, scalar):
+        ea, eb = Matrix(pair[0], EXACT), Matrix(pair[1], EXACT).transpose()
+        fa, fb = ea.to_approx(), eb.to_approx()
+        assert near(fa + fb, ea + eb) and near(fa - fb, ea - eb) and near(-fa, -ea)
+        assert near(fa.scale(scalar), ea.scale(scalar)) and near(fa.transpose(), ea.transpose())
+        assert abs(fa.scale_bound() - ea.scale_bound()) <= 1e-12 * max(1.0, ea.scale_bound())
+        assert np.allclose(fa.columns(), Matrix(ea.columns(), EXACT).to_numpy(), rtol=0, atol=1e-12)
+        assert fa.agrees_with(fb) is (ea == eb) and fa.agrees_with(ea.to_approx())
+
+    @SETTINGS
+    @given(grid=square_grids(), data=st.data())
+    def test_blocks_and_decisions(self, grid, data):
+        e = Matrix(grid, EXACT)
+        f = e.to_approx()
+        n = e.rows
+        lo, hi = sorted(data.draw(st.integers(0, n)) for _ in range(2))
+        assert near(f.diagonal_block(lo, hi), e.diagonal_block(lo, hi))
+        assert abs(f.trace() - e.trace().to_complex()) <= 1e-12 * max(1.0, n * e.scale_bound())
+        offsets = sorted({0, n, *data.draw(st.lists(st.integers(0, n), max_size=3))})
+        assert f.lower_blocks_negligible(offsets, 10) is e.lower_blocks_negligible(offsets, 10)
+        assert f.is_zero() is e.is_zero()
 
 
 # -- elimination ---------------------------------------------------------------------------

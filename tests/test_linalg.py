@@ -103,6 +103,46 @@ class TestApproxSpan:
         assert len(completed) == 3 and span.is_full()
 
 
+APPROX_GRID = [[1 + 2j, 0.5, -1j], [2.0, 1 - 1j, 3.0], [1.0, 1.0, 1.0]]
+
+
+class TestApproxMatrix:
+    """An approx matrix is one read-only complex ndarray and hands back
+    Python ``complex`` scalars, never numpy scalars."""
+
+    def test_storage_is_one_read_only_array(self):
+        source = np.array(APPROX_GRID)
+        m = Matrix(source, APPROX)
+        stored = m.to_numpy()
+        assert stored is m.to_numpy() and stored is m.entries
+        assert stored.shape == (3, 3) and not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 0
+        source[0, 0] = 99  # the constructor copied its input
+        assert m.to_numpy()[0, 0] == 1 + 2j
+
+    def test_scalars_are_python_complex(self):
+        m = Matrix(APPROX_GRID, APPROX)
+        singular = Matrix([[1.0, 2.0], [2.0, 4.0]], APPROX)
+        vectors = m.columns() + nullspace(singular) + span_of(m.columns()[:2], 3, APPROX).basis()
+        scalars = [m.trace(), m.det(), m.trace_product(m), m.diagonal_block(1, 3).trace()]
+        scalars += [x for v in vectors for x in v]
+        assert len(scalars) == 4 + 9 + 2 + 6
+        assert all(type(x) is complex for x in scalars)
+
+    @pytest.mark.parametrize("backend", [EXACT, APPROX])
+    def test_diagonal_block(self, backend):
+        m = seam_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]], backend)
+        assert m.diagonal_block(1, 3) == seam_matrix([[5, 6], [8, 9]], backend)
+        assert m.diagonal_block(0, 1) == seam_matrix([[1]], backend)
+        assert m.diagonal_block(2, 2).shape == (0, 0)
+
+    def test_agrees_with_needs_equal_shapes(self):
+        # numpy would broadcast the 1x1 matrix against every entry
+        with pytest.raises(ValueError):
+            Matrix([[1.0]], APPROX).agrees_with(Matrix([[1.0, 1.0], [1.0, 1.0]], APPROX))
+
+
 class TestNullspace:
     def test_zero_matrix_kernel_is_everything(self):
         basis = nullspace(Matrix.zeros(2, 2, EXACT))
@@ -126,7 +166,7 @@ class TestNullspace:
         m = Matrix([[1 + 0j, 1 + 0j], [1 + 0j, 1 + 0j]], APPROX)
         basis = nullspace(m)
         assert len(basis) == 1
-        img = m.apply(basis[0])
+        img = m.to_numpy() @ np.array(basis[0])
         assert max(abs(x) for x in img) < 1e-12
 
 

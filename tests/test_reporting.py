@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -84,7 +85,15 @@ MALFORMED_DISCRETE = {
         "disc-z-mod-2z-jordan",
         {("backend",): "approx", ("twist", "images", 0, 0, 0): ["a", 1]},
     ),
+    "twist-ragged": ("disc-z-mod-2z-jordan", {("twist", "images", 0, 1): ["1"]}),
+    "approx-twist-ragged": (
+        "disc-z-mod-2z-jordan",
+        {("backend",): "approx", ("twist", "images", 0, 1): ["1"]},
+    ),
 }
+
+# the structured text the benchmark stores for every bundled scenario
+SUITE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "suite.json"
 
 
 class TestLoading:
@@ -283,6 +292,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 15
 
+    def test_suite_exact_output_is_the_stored_reference(self):
+        # exact output is byte-identical across changes that do not mean to
+        # alter it; the torus scenarios are approx and checked elsewhere
+        stored = json.loads(SUITE_REFERENCE.read_text(encoding="utf-8"))
+        exact = {name: text for name, text in stored.items() if json.loads(text)["backend"] == "exact"}
+        assert len(exact) == 13
+        paths = {path.stem: path for path in bundled_scenario_paths()}
+        for name, text in exact.items():
+            assert emit(run(load_scenario(paths[name])), "structured") == text, name
+
+    def test_approx_suite_emits_no_numpy_scalars(self, capsys):
+        # every scalar an approx matrix hands back is a Python complex, so
+        # no numpy repr such as np.float64(...) reaches a report
+        assert main(["suite", "--backend", "approx", "--emit", "structured"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.startswith("{") and "np." not in out
+
 
 class TestMalformedDiscrete:
     @pytest.mark.parametrize("case", sorted(MALFORMED_DISCRETE))
@@ -294,6 +320,14 @@ class TestMalformedDiscrete:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"input error: {path}: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case", ["twist-ragged", "approx-twist-ragged"])
+    def test_ragged_twist_image_is_named(self, tmp_path, capsys, case):
+        name, fields = MALFORMED_DISCRETE[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(with_fields(bundled_scenario(name), fields)), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "ragged matrix" in capsys.readouterr().err
 
     FUZZ_TARGETS = [
         ("disc-s3-a3-plane", ("group", "generators")),

@@ -261,6 +261,13 @@ class TestSpectralTrace:
             value = spectral_trace(m, op)  # raises TraceMismatch on any bug
             assert value == op.trace()
 
+    def test_approx_block_traces_are_python_complex(self):
+        # three one-dimensional factors: the value is a sum of block traces
+        g = Matrix([[2, 1, 0], [0, 3, 1], [0, 0, 5]], APPROX)
+        m = model([g], g + g.inverse())
+        value = spectral_trace(m, g)
+        assert type(value) is complex and abs(value - 10) < 1e-9
+
 
 class TestSubquotientSpectrum:
     def test_full_space(self):
