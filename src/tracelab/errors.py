@@ -82,6 +82,12 @@ class GrowthInadmissible(TraceLabError):
     the requested truncation, so the lattice sum has no certified tail."""
 
 
+class FloatRangeExceeded(TraceLabError):
+    """A float evaluation overflowed, divided by a value that underflowed to
+    zero, or met an inf/nan intermediate: the input lies outside what
+    double precision can evaluate."""
+
+
 class TailBoundExceedsTolerance(TraceLabError):
     """A certified truncation tail is larger than the tolerance the
     caller asked to resolve."""

@@ -10,6 +10,7 @@ is why wall-clock timings appear only in the human-readable table.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -46,13 +47,6 @@ from .spectral import (
     multiplicity_table,
     random_pi_filtration_length,
     spectrum,
-)
-from .torus import (
-    BumpTestFunction,
-    GaussianTestFunction,
-    TorusTwist,
-    TruncationParams,
-    verify_torus,
 )
 
 DISCRETE_NORMALIZATION = {
@@ -172,6 +166,16 @@ def _number(spec, key, default, where="", integer=False, minimum=None):
 
 
 def _parse_scalar(value, backend: str, where: str):
+    try:
+        scalar = _scalar(value, backend, where)
+        if backend == EXACT or cmath.isfinite(scalar):
+            return scalar
+    except OverflowError:  # an integer or rational beyond the float range
+        pass
+    raise SchemaError(f"{where}: approx scalar outside the float range")
+
+
+def _scalar(value, backend: str, where: str):
     if isinstance(value, str):
         try:
             return coerce(parse_gaussian_rational(value), backend)
@@ -305,7 +309,9 @@ def _build_test_function(spec, group, backend, where="test_function") -> Discret
     return DiscreteTestFunction(pairs, backend)
 
 
-def _build_torus_twist(spec, where="twist") -> TorusTwist:
+def _build_torus_twist(spec, where="twist"):
+    from . import torus
+
     if not isinstance(spec, dict) or "blocks" not in spec:
         raise SchemaError(f"{where}.blocks: required")
     if not isinstance(spec["blocks"], list) or not spec["blocks"]:
@@ -321,21 +327,23 @@ def _build_torus_twist(spec, where="twist") -> TorusTwist:
         if eigen == 0:
             raise SchemaError(f"{where}.blocks[{i}].eigenvalue: monodromy singular")
         blocks.append((eigen, size))
-    return TorusTwist(tuple(blocks))
+    return torus.TorusTwist(tuple(blocks))
 
 
 def _build_torus_function(spec, where="test_function"):
+    from . import torus
+
     if not isinstance(spec, dict):
         raise SchemaError(f"{where}: must be an object")
     kind = spec.get("kind", "gaussian")
     try:
         if kind == "gaussian":
-            return GaussianTestFunction(
+            return torus.GaussianTestFunction(
                 width=_number(spec, "width", 1.0, where),
                 center=_number(spec, "center", 0.0, where),
             )
         if kind == "bump":
-            return BumpTestFunction(radius=_number(spec, "radius", 1.0, where))
+            return torus.BumpTestFunction(radius=_number(spec, "radius", 1.0, where))
     except ValueError as exc:  # a nonpositive width or radius
         raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
@@ -361,12 +369,14 @@ def _build_payload(scenario: Scenario, backend_override: str | None = None):
         f = _build_test_function(payload.get("test_function"), group, backend, "test_function")
         return {"subgroup": subgroup, "twist": twist, "f": f, "backend": backend}
     if scenario.case == "torus":
+        from . import torus
+
         twist = _build_torus_twist(payload.get("twist"), "twist")
         f = _build_torus_function(payload.get("test_function"), "test_function")
         trunc = payload.get("truncation", {})
         if not isinstance(trunc, dict):
             raise SchemaError("truncation: must be an object")
-        params = TruncationParams(
+        params = torus.TruncationParams(
             K=_number(trunc, "K", 8, "truncation", integer=True, minimum=0),
             N=_number(trunc, "N", 8, "truncation", integer=True, minimum=0),
         )
@@ -502,10 +512,28 @@ def _run_discrete(scenario, backend_override, tolerance, seed) -> TraceReport:
     return report
 
 
+def _fail_if_vacuous(report, verification, context: ToleranceContext, what: str):
+    """Fail a torus report whose tails are too large, against both sides,
+    for its PASS to mean anything."""
+    tails = verification.tail_spectral + verification.tail_geometric
+    scale = max(abs(verification.spectral_value), abs(verification.geometric_value), 1.0)
+    if context.is_vacuous(tails, scale):
+        report.passed = False
+        report.failures.append(
+            f"vacuous: {what} {tails!r} exceed {context.vacuity_ratio:g} of "
+            f"max(|spectral|, |geometric|, 1) = {scale!r}"
+        )
+
+
 def _run_torus(scenario, tolerance, seed) -> TraceReport:
+    from . import torus
+
     built = _build_payload(scenario)
+    context = ToleranceContext()
     tol_value = 1e-10 if tolerance is None else tolerance
-    verification = verify_torus(built["twist"], built["f"], built["params"], tol_value)
+    verification = torus.verify_torus(
+        built["twist"], built["f"], built["params"], tol_value
+    )
     tol_note = f"residual <= {tol_value:g} + tail_spectral + tail_geometric"
     report = TraceReport(
         scenario_id=scenario.id,
@@ -544,11 +572,15 @@ def _run_torus(scenario, tolerance, seed) -> TraceReport:
         report.failures.append(
             f"residual {verification.residual!r} exceeds tolerance+tails"
         )
+    _fail_if_vacuous(report, verification, context, "tails")
     # compactly supported anchor run for the same twist
     if built["anchor"]:
         anchor_f, anchor_k = built["anchor"]
-        anchor_params = TruncationParams(K=anchor_k, N=built["params"].N)
-        anchor = verify_torus(built["twist"], anchor_f, anchor_params, tol_value)
+        anchor_params = torus.TruncationParams(K=anchor_k, N=built["params"].N)
+        try:
+            anchor = torus.verify_torus(built["twist"], anchor_f, anchor_params, tol_value)
+        except TraceLabError as exc:
+            raise type(exc)(f"bump anchor: {exc}") from exc
         report.extra["bump_anchor"] = {
             "spectral": format_complex(anchor.spectral_value),
             "geometric": format_complex(anchor.geometric_value),
@@ -561,6 +593,7 @@ def _run_torus(scenario, tolerance, seed) -> TraceReport:
         if not anchor.passed:
             report.passed = False
             report.failures.append("bump anchor run failed")
+        _fail_if_vacuous(report, anchor, context, "bump anchor tails")
     return report
 
 

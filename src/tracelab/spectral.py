@@ -629,8 +629,11 @@ def is_isomorphic(a: AdmissibleModel, b: AdmissibleModel) -> bool:
     """Isomorphism of representations, decided by an invertible intertwiner."""
     if len(a.generators) != len(b.generators):
         raise ValueError("models have different numbers of generators")
-    if not _key_compatible(a, b):
-        return False
+    return _key_compatible(a, b) and _intertwined(a, b)
+
+
+def _intertwined(a: AdmissibleModel, b: AdmissibleModel) -> bool:
+    """Whether an invertible intertwiner from ``a`` to ``b`` is found."""
     ctx = a.context
     basis = intertwiner_space(list(a.generators), list(b.generators), ctx)
     if not basis:
@@ -681,6 +684,16 @@ class SeriesData:
         return len(self.factors)
 
 
+def _same_class(cls: PiClass, f: AdmissibleModel, key: tuple) -> bool:
+    """``is_isomorphic(cls.rep, f)``, with the exact pre-filter read off the
+    stored key instead of recomputing both models' charpolys."""
+    if f.backend == EXACT:
+        compatible = cls.canonical_key == key
+    else:
+        compatible = _key_compatible(cls.rep, f)
+    return compatible and _intertwined(cls.rep, f)
+
+
 def composition_series_data(m: AdmissibleModel) -> SeriesData:
     """Full flag with certified irreducible quotients (deterministic)."""
     n = m.dim
@@ -701,13 +714,13 @@ def composition_series_data(m: AdmissibleModel) -> SeriesData:
     classes = []
     class_of_factor = []
     for f in factors:
-        found = None
-        for idx, cls in enumerate(classes):
-            if is_isomorphic(cls.rep, f):
-                found = idx
-                break
+        key = canonical_key(f)
+        found = next(
+            (idx for idx, cls in enumerate(classes) if _same_class(cls, f, key)),
+            None,
+        )
         if found is None:
-            classes.append(PiClass(f, canonical_key(f)))
+            classes.append(PiClass(f, key))
             found = len(classes) - 1
         class_of_factor.append(found)
     labels = tuple(classes[idx] for idx in class_of_factor)

@@ -26,18 +26,25 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import GrowthInadmissible, SizeLimit, TailBoundExceedsTolerance
+from .errors import (
+    FloatRangeExceeded,
+    GrowthInadmissible,
+    SizeLimit,
+    TailBoundExceedsTolerance,
+)
 from .linalg import Matrix
 from .scalars import APPROX, DEFAULT_CONTEXT, ToleranceContext, one, zero
 from .spectral import AdmissibleModel, default_resolvent_sample
 
 TWO_PI = 2.0 * math.pi
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def log_branch(a: complex) -> complex:
@@ -310,6 +317,11 @@ def geometric_side_torus(twist: TorusTwist, f, params: TruncationParams):
     Gaussian decay has not yet overtaken the growth extends the bound
     (never the value) until the ratio test applies.
     """
+    if params.N * math.log(twist.growth_base()) > LOG_FLOAT_MAX:
+        # the overflow the loop below would reach, raised before the loop
+        raise OverflowError(
+            f"tr(omega(1)^n) overflows before |n| = N = {params.N}"
+        )
     value = 0j
     for n in range(-params.N, params.N + 1):
         value += f.value(n) * twist.trace_power(n)
@@ -381,16 +393,32 @@ def verify_torus(
     params: TruncationParams | None = None,
     tolerance: float = 1e-10,
 ) -> TorusVerification:
-    """PASS iff |spectral - geometric| <= tolerance + both tail bounds."""
+    """PASS iff |spectral - geometric| <= tolerance + both tail bounds.
+
+    A side whose evaluation leaves double precision raises
+    ``FloatRangeExceeded`` naming that side.
+    """
     params = params or TruncationParams()
-    spectral, tail_s = spectral_side_torus(twist, f, params)
-    geometric, tail_g = geometric_side_torus(twist, f, params)
+    spectral, tail_s = _in_float_range("spectral side", spectral_side_torus, twist, f, params)
+    geometric, tail_g = _in_float_range("geometric side", geometric_side_torus, twist, f, params)
     residual = abs(spectral - geometric)
     passed = residual <= tolerance + tail_s + tail_g
     filled = replace(params, tail_bound_spectral=tail_s, tail_bound_geometric=tail_g)
     return TorusVerification(
         spectral, geometric, tail_s, tail_g, tolerance, filled, passed
     )
+
+
+def _in_float_range(side: str, compute, *args):
+    try:
+        return compute(*args)
+    except (ArithmeticError, ValueError) as exc:
+        # an overflow, a divisor that underflowed to zero, or math's domain
+        # error on an inf/nan intermediate; float ** float's OverflowError
+        # carries (errno, message)
+        raise FloatRangeExceeded(
+            f"{side}: outside double precision ({exc.args[-1]})"
+        ) from exc
 
 
 # -- mode-truncated Laplacian models ------------------------------------------

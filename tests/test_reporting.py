@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelab.cli import bundled_scenario_paths, main
-from tracelab.errors import ParseError, SchemaError
+from tracelab.errors import FloatRangeExceeded, ParseError, SchemaError, TraceLabError
 from tracelab.reporting import emit, load_scenario, parse_scenario, run, structured_payload
 
 
@@ -416,6 +416,19 @@ MALFORMED_TORUS = {
     "seed-string": ({"seed": "x"}, "seed"),
     "blocks-number": ({"twist": {"blocks": 5}}, "twist.blocks"),
     "blocks-empty": ({"twist": {"blocks": []}}, "twist.blocks"),
+    "eigenvalue-infinite": (
+        {"twist": {"blocks": [{"eigenvalue": [float("inf"), 0.0]}]}},
+        "twist.blocks[0].eigenvalue",
+    ),
+    "eigenvalue-nan": (
+        {"twist": {"blocks": [{"eigenvalue": float("nan")}]}}, "twist.blocks[0].eigenvalue"
+    ),
+    "eigenvalue-int-beyond-float": (
+        {"twist": {"blocks": [{"eigenvalue": [10**400, 0]}]}}, "twist.blocks[0].eigenvalue"
+    ),
+    "eigenvalue-string-beyond-float": (
+        {"twist": {"blocks": [{"eigenvalue": "1" + "0" * 400}]}}, "twist.blocks[0].eigenvalue"
+    ),
 }
 
 
@@ -498,3 +511,113 @@ class TestBatchIsolation:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"input error: {paths[0]}: ")
         assert "jordan" in captured.out and "PASS" in captured.out
+
+
+def torus_scalar_2(fields):
+    """The bundled torus-scalar-2 with each (key path -> value) replaced."""
+    return json.dumps(with_fields(bundled_scenario("torus-scalar-2"), fields))
+
+
+EIGENVALUE = ("twist", "blocks", 0, "eigenvalue")
+
+# variants of torus-scalar-2 whose evaluation leaves double precision:
+# (replaced fields, the side the error names)
+FLOAT_RANGE = {
+    "N-huge": ({("truncation", "N"): 10**7}, "geometric side"),
+    "width-tiny": ({("test_function", "width"): 1e-300}, "geometric side"),
+    "eigenvalue-tiny": ({EIGENVALUE: [1e-300, 0.0]}, "spectral side"),
+    "eigenvalue-huge": ({EIGENVALUE: [1e308, 1e308]}, "spectral side"),
+}
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("case", sorted(FLOAT_RANGE))
+    def test_one_line_verification_error_and_the_batch_goes_on(self, tmp_path, capsys, case):
+        fields, side = FLOAT_RANGE[case]
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(torus_scalar_2(fields), encoding="utf-8")
+        good = tmp_path / "good.json"
+        good.write_text(jordan_scenario_text(), encoding="utf-8")
+        assert main(["verify", str(bad), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"verification error: {bad}: {side}: outside double precision ("
+        )
+        assert captured.err.count("\n") == 1
+        assert "jordan" in captured.out and "PASS" in captured.out
+
+    def test_library_error_names_the_side(self):
+        # the overflow is found before the 2 * 10**7 + 1 terms are summed
+        fields, side = FLOAT_RANGE["N-huge"]
+        with pytest.raises(FloatRangeExceeded, match=f"^{side}: .* before [|]n[|] = N = 10000000"):
+            run(parse_scenario(torus_scalar_2(fields)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eigenvalue=st.tuples(
+            st.floats(min_value=-1e308, max_value=1e308),
+            st.floats(min_value=-1e308, max_value=1e308),
+        ),
+        width=st.floats(min_value=1e-320, max_value=1e308),
+        center=st.floats(min_value=-1e308, max_value=1e308),
+        big_n=st.integers(min_value=0, max_value=12),
+    )
+    def test_runs_raise_only_library_errors(self, eigenvalue, width, center, big_n):
+        text = minimal_torus_scenario(
+            twist={"blocks": [{"eigenvalue": list(eigenvalue)}]},
+            test_function={"kind": "gaussian", "width": width, "center": center},
+            truncation={"K": 4, "N": big_n},
+            bump_anchor={},
+        )
+        try:
+            scenario = parse_scenario(text)
+        except SchemaError:  # a zero eigenvalue
+            return
+        try:
+            emit(run(scenario), "table")
+        except TraceLabError:
+            pass
+
+
+# torus-scalar-2 with eigenvalue 1000, K = N = 2 and a Gaussian of width 5:
+# the geometric tail (1.7e42) is twice the spectral side, so the residual
+# (8.4e41) is within tails that bound nothing
+VACUOUS = {
+    EIGENVALUE: [1000.0, 0.0],
+    ("truncation",): {"K": 2, "N": 2},
+    ("test_function", "width"): 5.0,
+}
+
+
+class TestVacuity:
+    def test_tails_above_the_values_fail(self, tmp_path, capsys):
+        report = run(parse_scenario(torus_scalar_2(VACUOUS)))
+        assert not report.passed
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("vacuous: tails ")
+        assert report.extra["bump_anchor"]["passed"]
+        path = tmp_path / "vacuous.json"
+        path.write_text(torus_scalar_2(VACUOUS), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert "! vacuous: tails " in capsys.readouterr().out
+
+    def test_the_same_twist_with_a_narrow_gaussian_passes(self):
+        fields = dict(VACUOUS)
+        fields[("test_function", "width")] = 1.0
+        report = run(parse_scenario(torus_scalar_2(fields)))
+        assert report.passed and report.failures == []
+
+    def test_vacuous_bump_anchor_fails(self):
+        # the main run is sound; the anchor's spectral tail is 0.4 of its value
+        fields = {EIGENVALUE: [1e6, 0.0], ("tolerance",): 1e-6}
+        report = run(parse_scenario(torus_scalar_2(fields)))
+        assert not report.passed
+        assert report.extra["bump_anchor"]["passed"]
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("vacuous: bump anchor tails ")
+
+    def test_bundled_torus_verdicts_are_not_vacuous(self):
+        for path in bundled_scenario_paths():
+            if path.name.startswith("torus-"):
+                report = run(load_scenario(path))
+                assert report.passed and report.failures == [], path.name

@@ -163,6 +163,40 @@ class TestCompositionSeries:
             assert find_proper_submodule(f) is None
 
 
+class TestClassAssignment:
+    def test_each_factor_key_is_computed_once(self, monkeypatch):
+        # the exact pre-filter reads the stored class keys instead of
+        # recomputing both models' charpolys per comparison
+        from tracelab import spectral
+
+        keyed = []
+        original = spectral.canonical_key
+        monkeypatch.setattr(
+            spectral, "canonical_key", lambda m: keyed.append(m) or original(m)
+        )
+        j = exact_matrix([[1, 1], [0, 1]])
+        chi = exact_matrix([[-1]])
+        m = model(
+            [Matrix.block_diag([j, chi])],
+            Matrix.block_diag([j + j.inverse(), chi.scale(gr(-2))]),
+        )
+        data = composition_series_data(m)
+        assert data.length == 3 and len(data.classes) == 2
+        assert len(keyed) == data.length
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_classes_are_the_isomorphism_classes(self, seed):
+        m, content, _, _ = random_exact_model(random.Random(seed), max_dim=6)
+        data = composition_series_data(m)
+        assert len(data.classes) == len(content)
+        for i, a in enumerate(data.factors):
+            for j, b in enumerate(data.factors):
+                same = data.class_of_factor[i] == data.class_of_factor[j]
+                assert same == is_isomorphic(a, b)
+        for idx, cls in enumerate(data.classes):  # a class keeps its first factor
+            assert cls.rep is data.factors[data.class_of_factor.index(idx)]
+
+
 class TestMultiplicity:
     def test_model_is_its_own_class(self):
         rot = exact_matrix([[0, -1], [1, -1]])
