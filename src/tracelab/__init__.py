@@ -8,6 +8,8 @@ spectral projectors, composition series, Jordan-Hoelder multiplicities)
 on finite-dimensional models.
 """
 
+import importlib
+
 from .errors import (
     BackendMismatch,
     BadLambda,
@@ -94,8 +96,9 @@ from .discrete import (
 )
 from .reporting import Scenario, TraceReport, emit, load_scenario, parse_scenario, run
 
-# The circle case (and with it scipy) loads on first use of one of its names
-# (PEP 562), so a discrete or spectral-model run never imports it.
+# The circle case (and with it scipy) loads on first use of one of its names,
+# or of ``tracelab.torus`` itself (PEP 562), so a discrete or spectral-model
+# run never imports it.
 _TORUS_NAMES = frozenset({
     "BumpTestFunction",
     "GaussianTestFunction",
@@ -112,15 +115,15 @@ _TORUS_NAMES = frozenset({
 
 
 def __getattr__(name):
-    if name in _TORUS_NAMES:
-        from . import torus
-
-        return getattr(torus, name)
+    if name == "torus" or name in _TORUS_NAMES:
+        # not ``from . import torus``, which asks this hook for "torus" again
+        torus = importlib.import_module(".torus", __name__)
+        return torus if name == "torus" else getattr(torus, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _TORUS_NAMES)
+    return sorted(set(globals()) | _TORUS_NAMES | {"torus"})
 
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import BackendMismatch, ParseError
 
@@ -277,13 +278,13 @@ class ToleranceContext:
     report only has to cite it once.  Rank thresholds are relative to the
     scale of the matrix at hand (``eps * max(1, scale)``); eigenvalue
     clusters merge within ``10 * eps`` of that scale, mirroring the
-    isolated-spectrum hypothesis the models instantiate.  A second knob,
-    ``vacuity_ratio``, says when a certified error bound is too large,
-    against the values it bounds, for a PASS to say anything.
+    isolated-spectrum hypothesis the models instantiate.  A certified
+    error bound above ``VACUITY_RATIO`` of the values it bounds (floored
+    at 1) is too large for a PASS to say anything.
     """
 
     eps: float = 1e-10
-    vacuity_ratio: float = 0.1
+    VACUITY_RATIO: ClassVar[float] = 0.1
 
     def zero_threshold(self, scale: float = 1.0) -> float:
         return self.eps * max(1.0, scale)
@@ -295,7 +296,7 @@ class ToleranceContext:
         return 10.0 * self.eps * max(1.0, scale)
 
     def is_vacuous(self, bound: float, scale: float = 1.0) -> bool:
-        return bound > self.vacuity_ratio * max(1.0, scale)
+        return bound > self.VACUITY_RATIO * max(1.0, scale)
 
 
 DEFAULT_CONTEXT = ToleranceContext()

@@ -96,6 +96,7 @@ class AdmissibleModel:
     resolvent_sample: tuple = ()
     label: str = ""
     context: ToleranceContext = field(default=DEFAULT_CONTEXT, compare=False)
+    _canonical_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -581,7 +582,14 @@ class PiClass:
 
 def canonical_key(m: AdmissibleModel) -> tuple:
     """Continuous-equivalence invariants used as an isomorphism pre-filter:
-    dimension plus the characteristic polynomial of every generator image."""
+    dimension plus the characteristic polynomial of every generator image.
+    Computed once per model, which keeps it."""
+    if m._canonical_key is None:
+        object.__setattr__(m, "_canonical_key", _compute_canonical_key(m))
+    return m._canonical_key
+
+
+def _compute_canonical_key(m: AdmissibleModel) -> tuple:
     if m.backend == EXACT:
         parts = []
         for g in m.generators:
@@ -629,11 +637,8 @@ def is_isomorphic(a: AdmissibleModel, b: AdmissibleModel) -> bool:
     """Isomorphism of representations, decided by an invertible intertwiner."""
     if len(a.generators) != len(b.generators):
         raise ValueError("models have different numbers of generators")
-    return _key_compatible(a, b) and _intertwined(a, b)
-
-
-def _intertwined(a: AdmissibleModel, b: AdmissibleModel) -> bool:
-    """Whether an invertible intertwiner from ``a`` to ``b`` is found."""
+    if not _key_compatible(a, b):
+        return False
     ctx = a.context
     basis = intertwiner_space(list(a.generators), list(b.generators), ctx)
     if not basis:
@@ -684,16 +689,6 @@ class SeriesData:
         return len(self.factors)
 
 
-def _same_class(cls: PiClass, f: AdmissibleModel, key: tuple) -> bool:
-    """``is_isomorphic(cls.rep, f)``, with the exact pre-filter read off the
-    stored key instead of recomputing both models' charpolys."""
-    if f.backend == EXACT:
-        compatible = cls.canonical_key == key
-    else:
-        compatible = _key_compatible(cls.rep, f)
-    return compatible and _intertwined(cls.rep, f)
-
-
 def composition_series_data(m: AdmissibleModel) -> SeriesData:
     """Full flag with certified irreducible quotients (deterministic)."""
     n = m.dim
@@ -714,13 +709,13 @@ def composition_series_data(m: AdmissibleModel) -> SeriesData:
     classes = []
     class_of_factor = []
     for f in factors:
-        key = canonical_key(f)
-        found = next(
-            (idx for idx, cls in enumerate(classes) if _same_class(cls, f, key)),
-            None,
-        )
+        found = None
+        for idx, cls in enumerate(classes):
+            if is_isomorphic(cls.rep, f):
+                found = idx
+                break
         if found is None:
-            classes.append(PiClass(f, key))
+            classes.append(PiClass(f, canonical_key(f)))
             found = len(classes) - 1
         class_of_factor.append(found)
     labels = tuple(classes[idx] for idx in class_of_factor)

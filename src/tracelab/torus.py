@@ -412,10 +412,12 @@ def verify_torus(
 def _in_float_range(side: str, compute, *args):
     try:
         return compute(*args)
-    except (ArithmeticError, ValueError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
         # an overflow, a divisor that underflowed to zero, or math's domain
-        # error on an inf/nan intermediate; float ** float's OverflowError
-        # carries (errno, message)
+        # error on an inf/nan intermediate; any other ValueError keeps its
+        # type.  float ** float's OverflowError carries (errno, message)
+        if isinstance(exc, ValueError) and str(exc) != "math domain error":
+            raise
         raise FloatRangeExceeded(
             f"{side}: outside double precision ({exc.args[-1]})"
         ) from exc

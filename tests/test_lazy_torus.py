@@ -106,3 +106,13 @@ def test_from_import_of_a_circle_case_name():
         "print(TorusTwist is torus.TorusTwist and verify_torus is torus.verify_torus)"
     )
     assert out == "True"
+
+
+def test_the_torus_submodule_is_a_package_attribute():
+    out = fresh_python(
+        "import sys, tracelab\n"
+        "listed = 'torus' in dir(tracelab)\n"
+        "before = 'tracelab.torus' in sys.modules\n"
+        "print(listed, before, tracelab.torus.TorusTwist is tracelab.TorusTwist)"
+    )
+    assert out == "True False True"

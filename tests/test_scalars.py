@@ -70,13 +70,13 @@ def test_tolerance_context_scaling():
 
 
 def test_vacuity_is_relative_to_the_values_with_a_floor_of_one():
-    ctx = ToleranceContext(vacuity_ratio=0.1)
+    ctx = ToleranceContext()
+    assert ctx.VACUITY_RATIO == 0.1
     assert not ctx.is_vacuous(0.1)
     assert ctx.is_vacuous(0.11)
     assert not ctx.is_vacuous(0.1, scale=1e-20)  # tiny values: floor at 1
     assert not ctx.is_vacuous(1e3, scale=1e4)
     assert ctx.is_vacuous(2e3, scale=1e4)
-    assert ToleranceContext().vacuity_ratio == 0.1
 
 
 def test_format_complex_full_precision():

@@ -165,14 +165,14 @@ class TestCompositionSeries:
 
 class TestClassAssignment:
     def test_each_factor_key_is_computed_once(self, monkeypatch):
-        # the exact pre-filter reads the stored class keys instead of
-        # recomputing both models' charpolys per comparison
+        # a model keeps its key, so the exact pre-filter does not recompute
+        # both models' charpolys per comparison
         from tracelab import spectral
 
         keyed = []
-        original = spectral.canonical_key
+        original = spectral._compute_canonical_key
         monkeypatch.setattr(
-            spectral, "canonical_key", lambda m: keyed.append(m) or original(m)
+            spectral, "_compute_canonical_key", lambda m: keyed.append(m) or original(m)
         )
         j = exact_matrix([[1, 1], [0, 1]])
         chi = exact_matrix([[-1]])

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from tracelab.errors import SchemaError, SizeLimit, TailBoundExceedsTolerance
+from tracelab.errors import (
+    FloatRangeExceeded,
+    SchemaError,
+    SizeLimit,
+    TailBoundExceedsTolerance,
+)
 from tracelab.linalg import Matrix
 from tracelab.spectral import spectrum
 from tracelab.torus import (
@@ -188,6 +193,28 @@ class TestVerify:
         )
         assert v.passed
         assert v.residual <= 1e-10 + v.tail_spectral + v.tail_geometric
+
+    def test_an_unknown_kind_is_not_a_float_range_error(self):
+        # a caller's own test function keeps its error's type and message
+        custom = GaussianTestFunction(kind="custom")
+        with pytest.raises(ValueError, match="^unknown test function kind 'custom'$"):
+            verify_torus(trivial_torus_twist(), custom, TruncationParams(2, 2))
+
+    def test_a_callers_value_error_keeps_its_type(self):
+        class Broken(GaussianTestFunction):
+            def value(self, x):
+                raise ValueError("broken test function")
+
+        with pytest.raises(ValueError, match="^broken test function$"):
+            verify_torus(trivial_torus_twist(), Broken(), TruncationParams(2, 2))
+
+    def test_a_domain_error_is_a_float_range_error(self):
+        class Domain(GaussianTestFunction):
+            def value(self, x):
+                return math.log(-1.0)
+
+        with pytest.raises(FloatRangeExceeded, match="^geometric side: .*math domain error"):
+            verify_torus(trivial_torus_twist(), Domain(), TruncationParams(2, 2))
 
 
 class TestInvariants:
