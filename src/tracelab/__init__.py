@@ -96,9 +96,9 @@ from .discrete import (
 )
 from .reporting import Scenario, TraceReport, emit, load_scenario, parse_scenario, run
 
-# The circle case (and with it scipy) loads on first use of one of its names,
-# or of ``tracelab.torus`` itself (PEP 562), so a discrete or spectral-model
-# run never imports it.
+# The circle case loads on first use of one of its names, or of
+# ``tracelab.torus`` itself (PEP 562), so a discrete or spectral-model run
+# never imports it.
 _TORUS_NAMES = frozenset({
     "BumpTestFunction",
     "GaussianTestFunction",

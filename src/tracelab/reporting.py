@@ -368,8 +368,8 @@ def _build_payload(scenario: Scenario, backend_override: str | None = None):
         f = _build_test_function(payload.get("test_function"), group, backend, "test_function")
         return {"subgroup": subgroup, "twist": twist, "f": f, "backend": backend}
     if scenario.case == "torus":
-        # the circle case (and scipy) loads here, when a torus scenario is
-        # parsed; the torus builders take the module from this branch
+        # the circle case loads here, when a torus scenario is parsed; the
+        # torus builders take the module from this branch
         from . import torus
 
         twist = _build_torus_twist(torus, payload.get("twist"), "twist")
@@ -590,7 +590,7 @@ def _run_torus(scenario, tolerance, seed) -> TraceReport:
             "tail_spectral": repr(anchor.tail_spectral),
             "tail_geometric": repr(anchor.tail_geometric),
             "passed": anchor.passed,
-            "provenance": "compact-support anchor (quadrature transform)",
+            "provenance": "compact-support anchor (trapezoid transform, certified aliasing)",
         }
         if not anchor.passed:
             report.passed = False

@@ -28,10 +28,10 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     FloatRangeExceeded,
@@ -39,12 +39,13 @@ from .errors import (
     SizeLimit,
     TailBoundExceedsTolerance,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _poly_derivative, _poly_divmod, _stripped
 from .scalars import APPROX, DEFAULT_CONTEXT, ToleranceContext, one, zero
 from .spectral import AdmissibleModel, default_resolvent_sample
 
 TWO_PI = 2.0 * math.pi
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+EPS = sys.float_info.epsilon
 
 
 def log_branch(a: complex) -> complex:
@@ -72,6 +73,16 @@ class TorusTwist:
             if size < 1:
                 raise ValueError("block size must be positive")
         object.__setattr__(self, "blocks", blocks)
+        merged = []
+        for a, size in blocks:
+            for entry in merged:
+                if abs(entry[0] - a) <= 1e-12 * max(1.0, abs(a)):
+                    entry[1] += size
+                    break
+            else:
+                merged.append([a, size])
+        # merged once: trace_power reads it for every term of the geometric side
+        object.__setattr__(self, "_jordan", tuple((a, m) for a, m in merged))
 
     @property
     def dim(self) -> int:
@@ -79,15 +90,7 @@ class TorusTwist:
 
     def jordan_data(self):
         """Aggregated (eigenvalue, total generalized multiplicity) pairs."""
-        merged = []
-        for a, size in self.blocks:
-            for entry in merged:
-                if abs(entry[0] - a) <= 1e-12 * max(1.0, abs(a)):
-                    entry[1] += size
-                    break
-            else:
-                merged.append([a, size])
-        return [(a, m) for a, m in merged]
+        return list(self._jordan)
 
     def theta_data(self):
         """(theta_j, m_j) pairs on the normalized branch."""
@@ -105,10 +108,10 @@ class TorusTwist:
 
     def trace_power(self, n: int) -> complex:
         """tr(omega(1)^n) = sum_j m_j a_j^n; nilpotent parts are traceless."""
-        return sum(m * a**n for a, m in self.jordan_data())
+        return sum(m * a**n for a, m in self._jordan)
 
     def growth_base(self) -> float:
-        return max(max(abs(a), 1.0 / abs(a)) for a, _ in self.jordan_data())
+        return max(max(abs(a), 1.0 / abs(a)) for a, _ in self._jordan)
 
     def direct_sum(self, other: "TorusTwist") -> "TorusTwist":
         return TorusTwist(self.blocks + other.blocks)
@@ -148,39 +151,14 @@ class GaussianTestFunction:
         return val, 0.0
 
 
-def _bump_profile_derivative_mass(radius: float, order: int) -> float:
-    """integral of |d^order/dx^order exp(-1/(1-(x/B)^2))| over the support."""
-    return _bump_mass_cached(float(radius), int(order))
-
-
-@lru_cache(maxsize=32)
-def _bump_mass_cached(radius: float, order: int) -> float:
-    import sympy
-
-    x = sympy.symbols("x")
-    profile = sympy.exp(-1 / (1 - (x / radius) ** 2))
-    deriv = sympy.diff(profile, x, order)
-    fn = sympy.lambdify(x, deriv, "math")
-
-    def absval(t):
-        if abs(t) >= radius:
-            return 0.0
-        try:
-            return abs(fn(t))
-        except (OverflowError, ZeroDivisionError):
-            return 0.0
-
-    val, err = quad(absval, -radius, radius, limit=400)
-    return float(val + 2.0 * err)
-
-
 @dataclass(frozen=True)
 class BumpTestFunction:
     """Standard compactly supported bump exp(-1/(1-(x/radius)^2)) on (-radius, radius).
 
-    The transform has no closed form; it is computed by adaptive
-    quadrature and the quadrature error estimate is propagated into the
-    spectral tail bound.
+    The transform has no closed form.  ``quad`` computes it by the
+    trapezoid rule, whose aliasing error follows from Poisson summation
+    and the closed-form derivative masses of the bump, and that error is
+    added to the spectral tail bound.
     """
 
     radius: float = 1.0
@@ -196,28 +174,202 @@ class BumpTestFunction:
             return 0.0
         return math.exp(-1.0 / (1.0 - u * u))
 
-    def transform(self, xi: complex):
-        xi = complex(xi)
-        u, v = xi.real, xi.imag
 
-        def damped(x):
-            return self.value(x) * math.exp(-TWO_PI * v * x)
+# -- the bump's derivatives, exactly ---------------------------------------------
+#
+# With u = x / radius, d^p/du^p exp(-1/(1-u^2)) = P_p(u) (1-u^2)^(-2p)
+# exp(-1/(1-u^2)) for integer polynomials P_p, so the mass of the p-th
+# derivative is the total variation of the (p-1)-th across the real zeros
+# of P_p.  Polynomials are integer lists, highest power first, as in
+# ``linalg``.
 
-        re_val, re_err = quad(
-            lambda x: damped(x) * math.cos(TWO_PI * u * x),
-            -self.radius,
-            self.radius,
-            limit=300,
-            epsabs=1e-13,
+_BISECTION_BITS = 46  # bisection points are integer multiples of 2^-46
+_BRACKET_BITS = 44  # a zero is bracketed to width 2^-44
+
+
+def _bump_derivative_polys(order: int) -> list:
+    """[P_0, ..., P_order]: P_0 = 1 and
+    P_{p+1} = (1-u^2)^2 P_p' + (4pu(1-u^2) - 2u) P_p."""
+    polys = [[1]]
+    for p in range(order):
+        prev = polys[-1]
+        out = [0] * (len(prev) + 3)
+        for i, c in enumerate(prev):
+            k = len(prev) - 1 - i  # c is the coefficient of u^k
+            out[i] += (k - 4 * p) * c  # u^(k+3)
+            out[i + 2] += (4 * p - 2 - 2 * k) * c  # u^(k+1)
+            if k:
+                out[i + 4] += k * c  # u^(k-1)
+        polys.append(_stripped(out))
+    return polys
+
+
+def _sign_at(poly, a: int) -> int:
+    """Sign of an integer polynomial at a * 2^-_BISECTION_BITS."""
+    acc = 0
+    for i, c in enumerate(poly):
+        acc = acc * a + (c << (_BISECTION_BITS * i))
+    return (acc > 0) - (acc < 0)
+
+
+def _zero_brackets(poly):
+    """Brackets (a, b], in units of 2^-_BISECTION_BITS, each holding exactly
+    one distinct real zero of ``poly`` in (-1, 1].
+
+    Sturm's theorem isolates the zeros; each is then bisected on the sign
+    of the squarefree part, whose zeros are simple.
+    """
+    chain = [[Fraction(c) for c in poly]]
+    chain.append(_poly_derivative(chain[0]))
+    while True:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    squarefree = _poly_divmod(chain[0], chain[-1])[0]
+    chain = [_integer_multiple(q) for q in chain]
+    squarefree = _integer_multiple(squarefree)
+
+    def variations(a):
+        signs = [s for s in (_sign_at(q, a) for q in chain) if s]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    one = 1 << _BISECTION_BITS
+    width = 1 << (_BISECTION_BITS - _BRACKET_BITS)
+    brackets = []
+    pending = [(-one, one, variations(-one), variations(one))]
+    while pending:
+        a, b, va, vb = pending.pop()
+        if va - vb > 1:
+            mid = (a + b) // 2
+            vm = variations(mid)
+            pending += [(a, mid, va, vm), (mid, b, vm, vb)]
+        elif va - vb == 1:
+            sign_b = _sign_at(squarefree, b)
+            if not sign_b:
+                a = b
+            while b - a > width:
+                mid = (a + b) // 2
+                sign_mid = _sign_at(squarefree, mid)
+                if sign_mid == sign_b:
+                    b = mid
+                elif sign_mid:
+                    a = mid
+                else:
+                    a = b = mid
+            brackets.append((a, b))
+    return sorted(brackets)
+
+
+def _integer_multiple(poly):
+    """A positive multiple of a rational polynomial with integer coefficients."""
+    den = math.lcm(*(c.denominator for c in poly))
+    return [int(c * den) for c in poly]
+
+
+@lru_cache(maxsize=None)
+def _unit_bump_mass(order: int) -> float:
+    """Upper bound on the integral of |d^order/du^order exp(-1/(1-u^2))| over (-1, 1).
+
+    The total variation of g = the (order-1)-th derivative, summed between
+    its extrema and the endpoints, where g vanishes.  Each extremum z
+    lies in a bracket of width w around a dyadic midpoint m, and
+    |g(z) - g(m)| <= sup|g''| w^2 / 8 because g'(z) = 0; g(m) is
+    evaluated exactly up to one float exponential.
+    """
+    polys = _bump_derivative_polys(order + 1)
+    g = polys[order - 1]
+    # sup|g''| <= sum|coefficients of P_(order+1)| * max_t t^k e^-t, k = 2(order+1)
+    k = 2 * (order + 1)
+    sup_g2 = sum(abs(c) for c in polys[order + 1]) * (k / math.e) ** k
+    values, radii = [0.0], [0.0]
+    for a, b in _zero_brackets(polys[order]):
+        m = Fraction(a + b, 2 << _BISECTION_BITS)
+        s = 1 / (1 - m * m)
+        poly_m = Fraction(0)
+        for c in g:
+            poly_m = poly_m * m + c
+        s_float = float(s)
+        value = float(poly_m * s ** (2 * (order - 1))) * math.exp(-s_float)
+        w = (b - a) / (1 << _BISECTION_BITS)
+        values.append(value)
+        # the float exponential of a rounded argument: relative error below (s + 8) eps
+        radii.append(abs(value) * (s_float + 8) * EPS + sup_g2 * w * w / 8)
+    values.append(0.0)
+    radii.append(0.0)
+    total = sum(
+        abs(y - x) + r + q for x, y, r, q in zip(values, values[1:], radii, radii[1:])
+    )
+    return total * (1 + 2 * len(values) * EPS)
+
+
+def _bump_derivative_mass(radius: float, order: int) -> float:
+    """Upper bound on the integral of |d^order/dx^order exp(-1/(1-(x/radius)^2))|."""
+    return _unit_bump_mass(order) * radius ** (1 - order) * (1 + 4 * EPS)
+
+
+# -- the bump's transform: a certified trapezoid rule ---------------------------
+
+# the aliasing bound is kept below this share of the spectral truncation tail
+ALIAS_SHARE = 0.01
+# grid points x frequencies of one trapezoid sum, and of one block of it
+TRAPEZOID_CAP = 1 << 24
+_TRAPEZOID_BLOCK = 1 << 16
+# sum over m != 0 of (|m| - 1/2)^-4 is pi^4/3
+_ALIAS_SERIES = math.pi**4 / 3
+
+
+def quad(f: BumpTestFunction, xis, weights, budget: float):
+    """sum_i weights_i F(xi_i) for the bump ``f`` and a bound on its error.
+
+    One trapezoid sum h sum_j f(jh) exp(2 pi i xi jh) serves every xi.  By
+    Poisson summation it equals sum_m F(xi + m/h), and for |Re xi| <= 1/(2h)
+    the aliased terms m != 0 sum to at most
+    mass_4 exp(2 pi |Im xi| radius) h^4 (pi^4/3) / (2 pi)^4.  The step h is
+    the largest radius/M that keeps every |Re xi| <= 1/(2h) and the weighted
+    aliasing bound within ``budget``; the error bound adds an n eps rounding
+    bound on the n-term sums.  A grid too large for ``TRAPEZOID_CAP`` raises
+    ``SizeLimit``.
+    """
+    radius = f.radius
+    xis = np.asarray(xis, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    damp = np.exp(TWO_PI * np.abs(xis.imag) * radius)
+    alias_per_h4 = (
+        _bump_derivative_mass(radius, 4) * _ALIAS_SERIES / TWO_PI**4 * damp
+    )
+    step = (budget / float(weights @ alias_per_h4)) ** 0.25
+    top = float(np.max(np.abs(xis.real), initial=0.0))
+    if top > 0:
+        step = min(step, 0.5 / top)
+    intervals = math.ceil(radius / step)
+    points = 2 * intervals - 1
+    if points * len(xis) > TRAPEZOID_CAP:
+        raise SizeLimit(
+            f"trapezoid grid of {points} points x {len(xis)} frequencies "
+            f"exceeds {TRAPEZOID_CAP}"
         )
-        im_val, im_err = quad(
-            lambda x: damped(x) * math.sin(TWO_PI * u * x),
-            -self.radius,
-            self.radius,
-            limit=300,
-            epsabs=1e-13,
-        )
-        return complex(re_val, im_val), float(re_err + im_err)
+    h = radius / intervals
+    x = np.arange(1 - intervals, intervals) * h
+    u = x / radius
+    s = 1.0 / (1.0 - u * u)
+    fx = np.exp(-s)
+    sums = np.empty(len(xis), dtype=complex)
+    rows = max(1, _TRAPEZOID_BLOCK // points)
+    for lo in range(0, len(xis), rows):
+        sums[lo : lo + rows] = np.exp(2j * math.pi * np.outer(xis[lo : lo + rows], x)) @ fx
+    # A term f(x) exp(2 pi i xi x) is computed within (4 pi |xi| radius +
+    # 6 s^2 + 8) eps of itself, and a sum of n terms adds n eps of the sum of
+    # their magnitudes, which depend on Im xi alone.
+    imag, which = np.unique(xis.imag, return_inverse=True)
+    magnitudes = np.exp(-TWO_PI * np.outer(imag, x)) @ np.stack([fx, fx * s * s], axis=1)
+    sizes, edges = (h * magnitudes[which]).T
+    rounding = EPS * ((points + 2 * TWO_PI * np.abs(xis) * radius + 8) * sizes + 6 * edges)
+    value = complex(weights @ (h * sums))
+    error = float(weights @ (alias_per_h4 * h**4 + rounding)) * (1 + 4 * EPS * len(xis))
+    if not (cmath.isfinite(value) and math.isfinite(error)):
+        raise OverflowError("trapezoid sum outside double precision")
+    return value, error
 
 
 @dataclass(frozen=True)
@@ -259,17 +411,24 @@ def spectral_side_torus(twist: TorusTwist, f, params: TruncationParams):
     """Truncated character sum sum_j m_j sum_{|k|<=K} F(theta_j + k).
 
     Returns (value, tail_bound) with the tail certified from the decay of
-    the transform (closed form for the Gaussian, derivative bounds plus
-    quadrature error for the bump).
+    the transform: closed form for the Gaussian; for the bump, derivative
+    masses plus the certified error of one trapezoid sum over all the
+    frequencies (``quad``), whose aliasing is held to ``ALIAS_SHARE`` of
+    the truncation tail.
     """
-    value = 0j
-    quad_err = 0.0
-    for theta, m in twist.theta_data():
-        for k in range(-params.K, params.K + 1):
-            term, err = f.transform(theta + k)
-            value += m * term
-            quad_err += m * err
-    tail = quad_err + _spectral_tail_bound(twist, f, params.K)
+    thetas = twist.theta_data()
+    ks = range(-params.K, params.K + 1)
+    tail = _spectral_tail_bound(twist, f, params.K)
+    if f.kind == "bump":
+        xis = [theta + k for theta, _ in thetas for k in ks]
+        weights = [m for _, m in thetas for _ in ks]
+        value, error = quad(f, xis, weights, ALIAS_SHARE * tail)
+        tail += error
+    else:
+        value = 0j
+        for theta, m in thetas:
+            for k in ks:
+                value += m * f.transform(theta + k)[0]
     if params.spectral_tail_cap is not None and tail > params.spectral_tail_cap:
         raise TailBoundExceedsTolerance(
             f"spectral tail {tail:.3e} exceeds cap {params.spectral_tail_cap:.3e}"
@@ -297,7 +456,7 @@ def _spectral_tail_bound(twist: TorusTwist, f, big_k: int) -> float:
     if f.kind == "bump":
         if big_k < 2:
             raise GrowthInadmissible("bump tail bound needs K >= 2")
-        mass4 = _bump_profile_derivative_mass(f.radius, 4)
+        mass4 = _bump_derivative_mass(f.radius, 4)
         for theta, m in twist.theta_data():
             damp = math.exp(TWO_PI * abs(theta.imag) * f.radius)
             c4 = mass4 * damp
@@ -355,18 +514,25 @@ def _geometric_tail_bound(twist: TorusTwist, f, big_n: int) -> float:
             du = (2.0 * (n - sign * c) + 1.0) * math.pi / (s * s)
             return base * math.exp(-du)
 
-        total = 0.0
-        n = float(start)
-        guard = 0
-        while ratio(n) >= 0.5:
-            total += phi(n)
-            n += 1.0
-            guard += 1
-            if guard > 100000 or total == math.inf:
-                raise GrowthInadmissible(
-                    "test-function decay does not dominate the twist growth"
-                )
-        total += phi(n) / (1.0 - ratio(n))
+        # the ratio test applies (ratio <= 1/2) from n_star on
+        n_star = max(
+            start, math.ceil(s * s * math.log(2.0 * base) / TWO_PI + sign * c - 0.5)
+        )
+        total = phi(n_star) / (1.0 - ratio(n_star))
+        if n_star > start:
+            # the head's terms dim * exp(E(n)) have a concave quadratic E,
+            # peaked at mode: a unimodal sum is at most its integral plus its
+            # peak, and the Gaussian integral from start on is an erfc
+            mode = sign * c + s * s * math.log(base) / TWO_PI
+            z = math.sqrt(math.pi) * (start - mode) / s
+            if z <= 0:
+                peak = phi(mode)
+                integral = 0.5 * s * math.erfc(z) * peak
+            else:
+                # decreasing from start on; erfc(z) <= exp(-z^2) min(1, 1/(z sqrt(pi)))
+                peak = phi(start)
+                integral = 0.5 * s * peak * min(1.0, 1.0 / (z * math.sqrt(math.pi)))
+            total += integral + peak
         return total
 
     return half_tail(big_n + 1, +1) + half_tail(big_n + 1, -1)

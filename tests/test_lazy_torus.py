@@ -1,4 +1,4 @@
-"""The circle case, and scipy with it, loads only when it is used.
+"""The circle case loads only when it is used, and scipy never loads.
 
 Each check runs in a fresh interpreter, because the test session itself
 has long imported ``tracelab.torus``.
@@ -74,7 +74,20 @@ def test_parsing_a_torus_scenario_loads_it():
         "load_scenario(path)\n"
         "print('scipy' in sys.modules, 'tracelab.torus' in sys.modules)"
     )
-    assert out == "True True"
+    assert out == "False True"
+
+
+def test_no_bundled_scenario_loads_scipy():
+    out = fresh_python(
+        "import sys\n"
+        "from tracelab.cli import bundled_scenario_paths\n"
+        "from tracelab.reporting import emit, load_scenario, run\n"
+        "paths = bundled_scenario_paths()\n"
+        "for path in paths:\n"
+        "    emit(run(load_scenario(path)), 'structured')\n"
+        "print(len(paths), 'scipy' in sys.modules, 'tracelab.torus' in sys.modules)"
+    )
+    assert out == "17 False True"
 
 
 def test_circle_case_names_resolve_from_the_torus_module():

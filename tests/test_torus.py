@@ -1,10 +1,14 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tracelab.cli import bundled_scenario_paths
 from tracelab.errors import (
     FloatRangeExceeded,
     SchemaError,
@@ -12,15 +16,22 @@ from tracelab.errors import (
     TailBoundExceedsTolerance,
 )
 from tracelab.linalg import Matrix
+from tracelab.reporting import load_scenario, run
 from tracelab.spectral import spectrum
 from tracelab.torus import (
+    ALIAS_SHARE,
     BumpTestFunction,
     GaussianTestFunction,
     TorusTwist,
     TruncationParams,
+    _bump_derivative_polys,
+    _geometric_tail_bound,
+    _spectral_tail_bound,
+    _unit_bump_mass,
     geometric_side_torus,
     laplacian_expected_spectrum,
     log_branch,
+    quad,
     spectral_characters,
     spectral_side_torus,
     trivial_torus_twist,
@@ -324,3 +335,150 @@ class TestLaplacianModel:
         expected = laplacian_expected_spectrum(tw, 2)
         mult = {round(l.real, 6): m for l, m in expected}
         assert mult[round((2 * math.pi) ** 2, 6)] == 2
+
+
+# -- the bump: exact derivative masses and the certified trapezoid rule ---------
+
+
+def sympy_bump_numerator(order):
+    """P_p from sympy: the p-th derivative of the unit bump over the bump,
+    times (1 - u^2)^(2p), as integer coefficients, highest power first."""
+    import sympy
+
+    u = sympy.symbols("u")
+    profile = sympy.exp(-1 / (1 - u**2))
+    ratio = sympy.diff(profile, u, order) / profile * (1 - u**2) ** (2 * order)
+    return [int(c) for c in sympy.Poly(sympy.cancel(ratio), u).all_coeffs()]
+
+
+def mpmath_unit_mass(order):
+    """Total variation of the unit bump's (order-1)-th derivative, 40 digits:
+    zeros of sympy's numerator by mpmath, values of sympy's derivative."""
+    import mpmath
+    import sympy
+
+    mpmath.mp.dps = 40
+    u = sympy.symbols("u")
+    g = sympy.lambdify(u, sympy.diff(sympy.exp(-1 / (1 - u**2)), u, order - 1), "mpmath")
+    roots = mpmath.polyroots(sympy_bump_numerator(order), maxsteps=400, extraprec=400)
+    zeros = sorted(
+        mpmath.re(z) for z in roots if abs(mpmath.im(z)) < 1e-25 and -1 < mpmath.re(z) < 1
+    )
+    values = [0] + [g(z) for z in zeros] + [0]
+    return sum(abs(b - a) for a, b in zip(values, values[1:]))
+
+
+def mpmath_bump_transform(radius, xi):
+    """F(xi) = integral of exp(-1/(1-(x/radius)^2)) exp(2 pi i xi x), 30 digits."""
+    import mpmath
+
+    mpmath.mp.dps = 30
+    z = mpmath.mpc(xi.real, xi.imag)
+
+    def integrand(x):
+        return mpmath.exp(-1 / (1 - (x / radius) ** 2) + 2j * mpmath.pi * z * x)
+
+    return complex(mpmath.quad(integrand, mpmath.linspace(-radius, radius, 41)))
+
+
+class TestBumpMasses:
+    def test_polynomials_match_sympy(self):
+        polys = _bump_derivative_polys(6)
+        assert polys[:2] == [[1], [-2, 0]]
+        for order in range(7):
+            assert polys[order] == sympy_bump_numerator(order), order
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_unit_mass_is_a_tight_upper_bound(self, order):
+        reference = float(mpmath_unit_mass(order))
+        mass = _unit_bump_mass(order)
+        assert mass >= reference
+        assert mass <= reference * (1 + 1e-12)
+
+
+class TestBumpTransform:
+    @pytest.mark.parametrize(
+        "eigenvalue, budget", [(1.0, 1e-9), (2.0, 1e-9), (1e6, 1e-2)]
+    )
+    def test_within_its_bound_of_mpmath(self, eigenvalue, budget):
+        # real frequencies for eigenvalue 1, complex ones otherwise
+        f = BumpTestFunction(radius=1.75)
+        theta = log_branch(eigenvalue)
+        for k in (-3, 0, 5):
+            xi = theta + k
+            value, bound = quad(f, [xi], [1.0], budget)
+            assert abs(value - mpmath_bump_transform(1.75, xi)) <= bound
+            assert bound <= 1.01 * budget  # the aliasing budget and a little rounding
+
+    @pytest.mark.parametrize("xi", [0.3, 4.0])  # at 4.0, |Re xi| <= 1/(2h) sets h
+    def test_a_coarse_grid_errs_within_its_aliasing_bound(self, xi):
+        f = BumpTestFunction(radius=1.75)
+        value, bound = quad(f, [xi], [1.0], 1e-2)
+        error = abs(value - mpmath_bump_transform(1.75, xi))
+        assert 1e-9 < error <= bound
+
+    def test_weights_sum_the_frequencies(self):
+        f = BumpTestFunction(radius=1.0)
+        xis = [0.1 + 0.05j, 1.1 + 0.05j, -0.9 + 0.05j]
+        total, bound = quad(f, xis, [2.0, 1.0, 3.0], 1e-9)
+        parts = [quad(f, [xi], [1.0], 1e-9)[0] for xi in xis]
+        assert abs(total - (2 * parts[0] + parts[1] + 3 * parts[2])) <= 2 * bound
+
+    def test_aliasing_is_a_share_of_the_truncation_tail(self):
+        tw = TorusTwist(((2.0, 1), (1.0, 2)))
+        f = BumpTestFunction(radius=1.75)
+        truncation = _spectral_tail_bound(tw, f, 32)
+        _, tail = spectral_side_torus(tw, f, TruncationParams(K=32, N=8))
+        assert truncation < tail <= truncation * (1 + 1.01 * ALIAS_SHARE)
+
+    def test_an_oversized_grid_is_a_size_limit(self):
+        with pytest.raises(SizeLimit, match="trapezoid grid"):
+            spectral_side_torus(
+                trivial_torus_twist(), BumpTestFunction(radius=1.75), TruncationParams(K=5000)
+            )
+
+    def test_bundled_torus_runs_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in bundled_scenario_paths():
+                if path.name.startswith("torus-"):
+                    assert run(load_scenario(path)).passed, path.name
+
+
+class TestGaussianGeometricTail:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        base=st.floats(min_value=1.0, max_value=3.0),
+        width=st.floats(min_value=0.3, max_value=20.0),
+        center=st.floats(min_value=-3.0, max_value=3.0),
+        big_n=st.integers(min_value=0, max_value=40),
+        dim=st.integers(min_value=1, max_value=2),
+    )
+    @example(base=1.1, width=20.0, center=0.0, big_n=10, dim=1)  # mode < N + 1 < n_star
+    @example(base=3.0, width=20.0, center=-3.0, big_n=0, dim=2)  # N + 1 < mode
+    def test_bounds_the_brute_force_sum(self, base, width, center, big_n, dim):
+        tw = TorusTwist(((base, dim),))
+        f = GaussianTestFunction(width=width, center=center)
+        # past max(mode, N) + 12 width the terms fall by exp(-144 pi)
+        mode = width * width * math.log(base) / (2 * math.pi) + abs(center)
+        stop = big_n + 2 + math.ceil(mode + 12 * width)
+        brute = math.fsum(
+            dim * base**n * (f.value(n) + f.value(-n)) for n in range(big_n + 1, stop)
+        )
+        assert _geometric_tail_bound(tw, f, big_n) >= brute * (1 - 1e-12)
+
+    def test_slow_growth_under_a_wide_gaussian_is_bounded(self):
+        # the ratio test applies only from n ~ 9.9e5 on
+        tw = TorusTwist(((1.001, 1),))
+        f = GaussianTestFunction(width=3000.0)
+        value, tail = geometric_side_torus(tw, f, TruncationParams(K=8, N=8))
+        total = math.fsum(f.value(n) * 1.001**n for n in range(-40000, 40001))
+        assert abs(total - value) <= tail < 2 * total
+
+
+def test_trace_power_reuses_the_merged_jordan_data(monkeypatch):
+    tw = TorusTwist(((2.0, 1), (2.0, 1), (1j, 2)))
+    expected = [sum(m * a**n for a, m in tw.jordan_data()) for n in range(-9, 10)]
+    monkeypatch.setattr(TorusTwist, "jordan_data", None)  # any call now fails
+    assert [tw.trace_power(n) for n in range(-9, 10)] == expected
+    geometric_side_torus(tw, GaussianTestFunction(), TruncationParams(K=2, N=30))
