@@ -293,6 +293,12 @@ class Matrix:
         """The square block of rows and columns ``lo..hi``."""
         return Matrix([row[lo:hi] for row in self.entries[lo:hi]], self.backend)
 
+    def submatrix(self, rows, cols) -> "Matrix":
+        """The entries at the given row and column indices, in that order."""
+        if self.backend == APPROX:
+            return Matrix(self.entries[np.ix_(rows, cols)], APPROX)
+        return Matrix([[self.entries[i][j] for j in cols] for i in rows], EXACT)
+
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -443,6 +449,11 @@ class Span:
             return [_entries(row) for _, row in self._rows]
         return [tuple(col) for col in self._q.T.tolist()]
 
+    def pivots(self):
+        """Exact: the pivot index of each basis vector, increasing.  Basis
+        vector k is 1 at pivot k and 0 at every other pivot."""
+        return [p for p, _ in self._rows]
+
     def _reduce_exact(self, vector):
         """Exact: ``vector`` as a numerator triple, reduced by the rows."""
         v = _numerators(vector)
@@ -469,9 +480,8 @@ class Span:
         rank of the residual block is the number of its singular values
         above the zero threshold.  A block of full rank is appended as its
         polar factor, the nearest orthonormal block, so an orthonormal block
-        orthogonal to the span comes back as itself (callers such as
-        ``restrict_model`` rely on a basis keeping its own coordinates); a
-        rank-deficient one as its leading left singular vectors.
+        orthogonal to the span comes back as itself; a rank-deficient one as
+        its leading left singular vectors.
         """
         w = np.asarray(block, dtype=complex)
         norms = np.linalg.norm(w, axis=0)
@@ -517,28 +527,18 @@ class Span:
         return self.dim == self.ambient_dim
 
     def extend_to_full(self):
-        """Complete the span to the whole space; returns the added vectors.
-
-        Exact: the first independent standard unit vectors in index order.
-        Approx: the orthonormal complement, columns ``k..n`` of the Q factor
-        of ``[q | I]``, which keeps the change of basis well-conditioned (a
+        """Approx: complete the span by its orthonormal complement, columns
+        ``k..n`` of the Q factor of ``[q | I]``, and return it; a
         near-parallel complement would amplify round-off into stability
-        defects).
-        """
-        n = self.ambient_dim
-        if self.backend == APPROX:
-            q, _ = np.linalg.qr(np.hstack([self._q, np.eye(n)]))
-            new = self.add_block(q[:, self.dim :])
-            if not self.is_full():
-                raise NotStable("cannot extend basis to the full space")
-            return [tuple(col) for col in new.T.tolist()]
-        added = []
-        for e in Matrix.identity(n, EXACT).columns():
-            if self.is_full():
-                break
-            if self.add(e):
-                added.append(e)
-        return added
+        defects.  Exact spans need none: the unit vectors off the pivots
+        complete an echelon basis."""
+        if self.backend != APPROX:
+            raise BackendMismatch("extend_to_full is an approx-backend primitive")
+        q, _ = np.linalg.qr(np.hstack([self._q, np.eye(self.ambient_dim)]))
+        new = self.add_block(q[:, self.dim :])
+        if not self.is_full():
+            raise NotStable("cannot extend basis to the full space")
+        return [tuple(col) for col in new.T.tolist()]
 
 
 def span_of(vectors, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CONTEXT) -> Span:

@@ -59,7 +59,6 @@ from .linalg import (
     nullspace,
     resolvent,
     root_candidates,
-    solve_exact,
     span_of,
 )
 from .scalars import (
@@ -67,6 +66,7 @@ from .scalars import (
     DEFAULT_CONTEXT,
     EXACT,
     GR_I,
+    GR_ZERO,
     GaussianRational,
     ToleranceContext,
     coerce,
@@ -89,6 +89,16 @@ class AdmissibleModel:
     point implies it at all of them; the test suite therefore checks the
     stronger statement at every sampled point instead of a single
     distinguished shift.
+
+    Two internal constructions skip these checks (``_trusted_model``),
+    because they hold by construction.  A restriction to an invariant
+    subspace or a quotient by one is a diagonal block of a block-triangular
+    conjugate, so its images stay invertible, and the spectrum of its
+    ``delta`` lies inside the spectrum of the ambient ``delta``, which the
+    inherited resolvent sample avoids.  A conjugate by an invertible matrix
+    (the random trials of ``random_pi_filtration_length``) keeps both the
+    invertibility and the spectrum.  The invariance of the subspace is
+    still checked, every time.
     """
 
     generators: tuple
@@ -157,6 +167,22 @@ def model(generators, delta, label="", resolvent_sample=None, context=DEFAULT_CO
     return AdmissibleModel(tuple(generators), delta, tuple(resolvent_sample), label, context)
 
 
+def _trusted_model(generators, delta, resolvent_sample, label, context) -> AdmissibleModel:
+    """An AdmissibleModel built without the determinant and resolvent checks
+    of ``__post_init__``, for the constructions its docstring lists."""
+    m = object.__new__(AdmissibleModel)
+    for name, value in (
+        ("generators", tuple(generators)),
+        ("delta", delta),
+        ("resolvent_sample", tuple(resolvent_sample)),
+        ("label", label),
+        ("context", context),
+        ("_canonical_key", None),
+    ):
+        object.__setattr__(m, name, value)
+    return m
+
+
 # -- basis surgery -----------------------------------------------------------
 
 
@@ -175,34 +201,84 @@ class BasisSplit:
 
 
 def split_basis(vectors, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CONTEXT) -> BasisSplit:
+    """The approx transport's change of basis: an orthonormal basis of the
+    span, then its orthonormal complement (approx backend only)."""
     basis = span_of(vectors, dim, backend, ctx).basis()
     complement = span_of(basis, dim, backend, ctx).extend_to_full()
     p = Matrix.from_columns(list(basis) + complement, backend)
     return BasisSplit(tuple(basis), tuple(complement), p, p.inverse(ctx))
 
 
-def _transported_model(m: AdmissibleModel, basis, block: int, label_suffix: str):
-    """The model ``m`` induces on diagonal block ``block`` of the basis
-    adapted to ``basis``: 0 is the subspace, 1 the quotient by it.
-    Returns (model, split); NotStable when the subspace is not invariant."""
-    ctx = m.context
-    split = split_basis(basis, m.dim, m.backend, ctx)
-    d, n = split.sub_dim, m.dim
-    lo, hi = ((0, d), (d, n))[block]
+def _transported_model(m: AdmissibleModel, vectors, block: int, label_suffix: str):
+    """The model ``m`` induces on the span of ``vectors`` (``block`` 0) or
+    on the quotient by it (``block`` 1), built as a trusted model.
 
-    def transported(x: Matrix, name: str) -> Matrix:
-        t = split.p_inv @ x @ split.p
-        if not t.lower_blocks_negligible((0, d, n), 10.0, ctx, scale_with=(x,)):
-            raise NotStable(f"subspace is not invariant under {name}")
-        return t.diagonal_block(lo, hi)
+    Returns (model, basis, lift): the restriction is written in ``basis``,
+    and ``lift`` maps quotient coordinates to ambient representatives.
+    NotStable when the span is not invariant under a generator or delta.
+
+    Exact: ``basis`` is the span's reduced echelon basis B, F the indices
+    off its pivots and P = [B | e_F].  The diagonal blocks of P^-1 X P are
+    (XB)[pivots] and X[F, F] - B[F] X[pivots, F], the block below them is
+    (XB)[F] - B[F] (XB)[pivots], and no inverse is formed.  Approx: P is
+    the unitary [orthonormal basis | orthonormal complement], and P^-1 X P
+    is formed whole.
+    """
+    ctx = m.context
+    n = m.dim
+    if m.backend == EXACT:
+        span = span_of(vectors, n, EXACT, ctx)
+        basis = span.basis()
+        pivots = span.pivots()
+        pivot_set = set(pivots)
+        free = [i for i in range(n) if i not in pivot_set]
+        cols = range(len(pivots))
+        b = Matrix.from_columns(basis, EXACT) if basis else Matrix.zeros(n, 0, EXACT)
+        b_free = b.submatrix(free, cols)
+
+        def transported(x: Matrix, name: str) -> Matrix:
+            xb = x @ b
+            coords = xb.submatrix(pivots, cols)
+            if free and xb.submatrix(free, cols) != b_free @ coords:
+                raise NotStable(f"subspace is not invariant under {name}")
+            if block == 0:
+                return coords
+            out = x.submatrix(free, free)
+            # a Matrix with no rows has no columns either: skip the empty product
+            return out - b_free @ x.submatrix(pivots, free) if pivots and free else out
+
+        def lift(vector):
+            out = [GR_ZERO] * n
+            for i, c in zip(free, vector):
+                out[i] = c
+            return tuple(out)
+
+    else:
+        split = split_basis(vectors, n, m.backend, ctx)
+        basis = list(split.basis)
+        d = split.sub_dim
+        lo, hi = ((0, d), (d, n))[block]
+        complement = split.p.to_numpy()[:, d:]
+
+        def transported(x: Matrix, name: str) -> Matrix:
+            t = split.p_inv @ x @ split.p
+            if not t.lower_blocks_negligible((0, d, n), 10.0, ctx, scale_with=(x,)):
+                raise NotStable(f"subspace is not invariant under {name}")
+            return t.diagonal_block(lo, hi)
+
+        def lift(vector):
+            return tuple((complement @ np.array(vector, dtype=complex)).tolist())
 
     gens = tuple(transported(g, "a generator image") for g in m.generators)
     delta = transported(m.delta, "delta")
-    return AdmissibleModel(gens, delta, m.resolvent_sample, m.label + label_suffix, ctx), split
+    out = _trusted_model(gens, delta, m.resolvent_sample, m.label + label_suffix, ctx)
+    return out, basis, lift
 
 
 def restrict_model(m: AdmissibleModel, basis, label_suffix="|sub") -> AdmissibleModel:
-    """Model induced on an invariant subspace; NotStable when it is not one."""
+    """Model induced on an invariant subspace, written in the basis the
+    transport chooses (exact: the span's echelon basis); NotStable when the
+    subspace is not invariant."""
     return _transported_model(m, basis, 0, label_suffix)[0]
 
 
@@ -210,18 +286,9 @@ def quotient_model(m: AdmissibleModel, basis, label_suffix="|quo"):
     """Quotient model by an invariant subspace, plus a lift of coordinates.
 
     Returns (model, lift) where lift maps quotient-coordinate vectors to
-    ambient representatives.
+    ambient representatives (exact: it puts them at the non-pivot indices).
     """
-    quotient, split = _transported_model(m, basis, 1, label_suffix)
-    complement = split.complement
-
-    def lift(vector):
-        out = None
-        for coeff, base_vec in zip(vector, complement):
-            term = tuple(coeff * x for x in base_vec)
-            out = term if out is None else tuple(a + b for a, b in zip(out, term))
-        return out
-
+    quotient, _, lift = _transported_model(m, basis, 1, label_suffix)
     return quotient, lift
 
 
@@ -548,18 +615,22 @@ def _minpoly_factors(coeffs):
 
 
 def minimal_submodule(m: AdmissibleModel):
-    """Basis (in the coordinates of ``m``) of an irreducible submodule."""
+    """(basis, model) of an irreducible submodule of ``m``: its basis in the
+    coordinates of ``m``, and the model it carries in that basis."""
     coords = None  # columns expressing the current space inside m
     current = m
     while True:
         sub = find_proper_submodule(current)
         if sub is None:
-            if coords is None:
-                return Matrix.identity(current.dim, m.backend).columns()
-            return coords.columns()
-        basis_mat = Matrix.from_columns(list(sub), current.backend)
+            break
+        # compose with the basis the restriction is expressed in, which
+        # need not be the witness basis itself
+        current, basis, _ = _transported_model(current, sub, 0, "|sub")
+        basis_mat = Matrix.from_columns(basis, m.backend)
         coords = basis_mat if coords is None else coords @ basis_mat
-        current = restrict_model(current, list(sub))
+    if coords is None:
+        return Matrix.identity(m.dim, m.backend).columns(), current
+    return coords.columns(), current
 
 
 # -- classes, series, multiplicities ----------------------------------------
@@ -690,22 +761,25 @@ class SeriesData:
 
 
 def composition_series_data(m: AdmissibleModel) -> SeriesData:
-    """Full flag with certified irreducible quotients (deterministic)."""
-    n = m.dim
-    current_vectors = []
+    """Full flag with certified irreducible quotients (deterministic).
+
+    Each step takes an irreducible submodule of the current quotient as the
+    next factor and passes to the quotient by it.  The quotients' lifts
+    compose, so every flag vector is in the coordinates of ``m``.
+    """
+    flag = []
     snapshots = [tuple()]
     factors = []
-    while len(current_vectors) < n:
-        if current_vectors:
-            quotient, lift = quotient_model(m, current_vectors)
-        else:
-            quotient, lift = m, lambda v: v
-        sub = minimal_submodule(quotient)
-        factor = restrict_model(quotient, sub, label_suffix="|factor")
+    current, lift = m, (lambda v: v)
+    while True:
+        sub, factor = minimal_submodule(current)
         factors.append(factor)
-        for u in sub:
-            current_vectors.append(lift(u))
-        snapshots.append(tuple(current_vectors))
+        flag.extend(lift(u) for u in sub)
+        snapshots.append(tuple(flag))
+        if len(flag) == m.dim:
+            break
+        current, _, inner = _transported_model(current, sub, 1, "|quo")
+        lift = lambda v, outer=lift, inner=inner: outer(inner(v))
     classes = []
     class_of_factor = []
     for f in factors:
@@ -722,7 +796,7 @@ def composition_series_data(m: AdmissibleModel) -> SeriesData:
     filtration = Filtration(
         tuple(range(len(snapshots))), tuple(snapshots), labels
     )
-    basis_matrix = Matrix.from_columns(current_vectors, m.backend)
+    basis_matrix = Matrix.from_columns(flag, m.backend)
     return SeriesData(
         filtration, tuple(factors), tuple(classes), tuple(class_of_factor), basis_matrix
     )
@@ -814,10 +888,11 @@ def random_pi_filtration_length(
         s_inv = s.inverse(m.context)
         gens = tuple(s_inv @ g @ s for g in m.generators)
         delta = s_inv @ m.delta @ s
+        # a conjugate keeps invertibility and the spectrum: trusted
+        twisted = _trusted_model(
+            gens, delta, m.resolvent_sample, m.label + f"|trial{trial}", m.context
+        )
         try:
-            twisted = AdmissibleModel(
-                gens, delta, m.resolvent_sample, m.label + f"|trial{trial}", m.context
-            )
             series = composition_series_data(twisted)
             length = sum(1 for f in series.factors if is_isomorphic(f, pi.rep))
         except IrreducibilityUndecided:
@@ -1045,25 +1120,21 @@ def subquotient_spectrum_check(
         for v in small.basis():
             if not large.contains(v):
                 raise NotStable("V0 is not contained in V1")
-    model_large = (
-        restrict_model(m, large.basis(), "|V1") if not large.is_full() else m
-    )
-    # express V0 in the coordinates of V1
+    if large.is_full():
+        model_large, large_basis = m, Matrix.identity(m.dim, backend).columns()
+    else:
+        model_large, large_basis, _ = _transported_model(m, large.basis(), 0, "|V1")
+    # express V0 in the coordinates of the basis model_large is written in:
+    # exact, an echelon basis, where v has coordinates v[pivots]; approx,
+    # an orthonormal one, where they are Q^H v
     if small is None or small.dim == 0:
         small_in_coords = []
+    elif backend == EXACT:
+        pivots = large.pivots()
+        small_in_coords = [tuple(v[p] for p in pivots) for v in small.basis()]
     else:
-        split = split_basis(large.basis(), m.dim, backend, ctx)
-        coords = []
-        for v in small.basis():
-            if backend == EXACT:
-                sol = _solve_coordinates_exact(split.p, v, large.dim)
-            else:
-                arr, *_ = np.linalg.lstsq(
-                    split.p.to_numpy(), np.array(v, dtype=complex), rcond=None
-                )
-                sol = tuple(arr[: large.dim].tolist())
-            coords.append(sol)
-        small_in_coords = coords
+        q_h = np.array(large_basis, dtype=complex).conj()
+        small_in_coords = [tuple((q_h @ np.array(v)).tolist()) for v in small.basis()]
     if small_in_coords:
         model_small = restrict_model(model_large, small_in_coords, "|V0")
         if len(small_in_coords) == model_large.dim:
@@ -1084,14 +1155,6 @@ def subquotient_spectrum_check(
     )
     rows = _match_eigen_dims(dec_large, dec_small, dec_quot, backend, ctx)
     return SubquotientSpectrumReport(tuple(rows))
-
-
-def _solve_coordinates_exact(p: Matrix, vector, keep: int):
-    rhs = Matrix([[x] for x in vector], EXACT)
-    sol = solve_exact(p, rhs)
-    if sol is None:
-        raise NotStable("coordinate solve failed")
-    return tuple(sol.entries[i][0] for i in range(keep))
 
 
 def _match_eigen_dims(dec_large, dec_small, dec_quot, backend, ctx):

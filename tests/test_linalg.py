@@ -65,7 +65,7 @@ class TestApproxSpan:
         assert span.contains(tuple(v))
 
     def test_orthonormal_block_keeps_its_columns(self):
-        # restrict_model reads a submodule in the coordinates of its own basis
+        # an orthonormal block is its own polar factor
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
         span = span_of([tuple(col) for col in q.T], 5, APPROX)
@@ -137,10 +137,27 @@ class TestApproxMatrix:
         assert m.diagonal_block(0, 1) == seam_matrix([[1]], backend)
         assert m.diagonal_block(2, 2).shape == (0, 0)
 
+    @pytest.mark.parametrize("backend", [EXACT, APPROX])
+    def test_submatrix(self, backend):
+        m = seam_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]], backend)
+        assert m.submatrix([2, 0], [1]) == seam_matrix([[8], [2]], backend)
+        assert m.submatrix(range(1, 3), range(1, 3)) == m.diagonal_block(1, 3)
+        assert m.submatrix([], []).shape == (0, 0)
+
     def test_agrees_with_needs_equal_shapes(self):
         # numpy would broadcast the 1x1 matrix against every entry
         with pytest.raises(ValueError):
             Matrix([[1.0]], APPROX).agrees_with(Matrix([[1.0, 1.0], [1.0, 1.0]], APPROX))
+
+
+class TestExactSpan:
+    def test_pivots_of_the_reduced_echelon_basis(self):
+        # the kernel of [1 1 1] spanned by a non-echelon pair
+        span = span_of([(gr(-1), gr(1), gr(0)), (gr(-1), gr(0), gr(1))], 3, EXACT)
+        assert span.pivots() == [0, 1]
+        assert span.basis() == [(gr(1), gr(0), gr(-1)), (gr(0), gr(1), gr(-1))]
+        with pytest.raises(BackendMismatch):
+            span.extend_to_full()
 
 
 class TestNullspace:

@@ -1,9 +1,18 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import exact_matrix, gr, random_defective_approx_delta, random_exact_model
+from conftest import (
+    exact_matrix,
+    gr,
+    random_defective_approx_delta,
+    random_exact_model,
+    random_unimodular_exact,
+)
 from tracelab.errors import (
     BackendMismatch,
     BadLambda,
@@ -11,18 +20,22 @@ from tracelab.errors import (
     NotStable,
     SigmaNotSpectral,
 )
-from tracelab.linalg import Matrix
+from tracelab.linalg import Matrix, nullspace, span_of
 from tracelab.scalars import APPROX, EXACT
 from tracelab.spectral import (
+    canonical_key,
     composition_series,
     composition_series_data,
     find_proper_submodule,
     is_isomorphic,
+    minimal_submodule,
     model,
     multiplicity,
     multiplicity_table,
     pi_class,
+    quotient_model,
     random_pi_filtration_length,
+    restrict_model,
     spectral_projection_direct,
     spectral_projection_power_iteration,
     spectral_trace,
@@ -333,6 +346,20 @@ class TestSubquotientSpectrum:
         with pytest.raises(NotStable):
             subquotient_spectrum_check(m, [], [(gr(0), gr(1))])
 
+    @pytest.mark.parametrize("backend", [EXACT, APPROX])
+    def test_full_space_given_by_a_skew_basis(self, backend):
+        # V0 is read in the basis the V1 model is written in; a full V1 keeps
+        # the ambient coordinates whatever basis it is given by
+        delta = Matrix([[gr(0), gr(1), gr(0)], [gr(0), gr(0), gr(0)], [gr(0), gr(0), gr(5)]], EXACT)
+        m = trivial_action(delta if backend == EXACT else delta.to_approx())
+        v1 = [(gr(1), gr(1), gr(0)), (gr(1), gr(-1), gr(0)), (gr(0), gr(0), gr(1))]
+        v0 = [(gr(1), gr(0), gr(0))]
+        if backend == APPROX:
+            v1, v0 = ([tuple(x.to_complex() for x in v) for v in vs] for vs in (v1, v0))
+        report = subquotient_spectrum_check(m, v0, v1)
+        assert report.passed
+        assert [(r.dim_large, r.dim_small, r.dim_quotient) for r in report.rows] == [(2, 1, 1), (1, 0, 1)]
+
 
 class TestIsomorphism:
     def test_conjugate_models_isomorphic(self):
@@ -389,3 +416,156 @@ class TestApproxSpinAgainstExact:
             p = split_basis(approx.basis(), n, APPROX, ctx).p.to_numpy()
             defect = np.linalg.norm(p.conj().T @ p - np.eye(n))
             assert defect <= 10 * ctx.zero_threshold(1)
+
+
+def _unit(n, i):
+    return tuple(gr(1) if k == i else gr(0) for k in range(n))
+
+
+@st.composite
+def models_with_invariant_subspace(draw):
+    """(model, vectors): an exact model and a non-echelon basis of a proper
+    invariant subspace, hidden by a unimodular change of basis."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, n - 1))
+    entries = st.sampled_from([gr(0), gr(0), gr(1), gr(-1), gr(0, 1), gr(1, -1), gr(2)])
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        # block upper-triangular: zero below the (d, n - d) split
+        grid = [
+            [gr(0) if i >= d and j < d else draw(entries) for j in range(n)]
+            for i in range(n)
+        ]
+        gens.append(Matrix(grid, EXACT))
+    assume(all(g.is_invertible() for g in gens))
+    s = random_unimodular_exact(n, random.Random(draw(st.integers(0, 2**32))))
+    s_inv = s.inverse()
+    gens = [s @ g @ s_inv for g in gens]
+    delta = gens[0] + gens[-1]
+    return model(gens, delta), s.columns()[:d]
+
+
+def _old_blocks(m, vectors):
+    """Diagonal blocks of P^-1 X P for P = [B | e_F], by an explicit inverse."""
+    n = m.dim
+    b = span_of(vectors, n, EXACT).basis()
+    pivots = [next(i for i, x in enumerate(v) if x) for v in b]
+    free = [i for i in range(n) if i not in pivots]
+    p = Matrix.from_columns(b + [_unit(n, i) for i in free], EXACT)
+    p_inv = p.inverse()
+    d = len(b)
+    out = []
+    for x in m.generators + (m.delta,):
+        t = p_inv @ x @ p
+        assert t.lower_blocks_negligible((0, d, n), 1)
+        out.append((t.diagonal_block(0, d), t.diagonal_block(d, n)))
+    return out, free
+
+
+def _one_shot_factors(m):
+    """The series loop that quotients ``m`` by the whole flag at every step."""
+    vectors = []
+    factors = []
+    while len(vectors) < m.dim:
+        quotient, lift = quotient_model(m, vectors) if vectors else (m, lambda v: v)
+        sub, _ = minimal_submodule(quotient)
+        factors.append(restrict_model(quotient, sub))
+        vectors.extend(lift(u) for u in sub)
+    return factors
+
+
+class TestEchelonTransport:
+    """Exact restriction and quotient are read off the echelon basis of the
+    subspace; the oracle forms the change of basis and its inverse."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=models_with_invariant_subspace())
+    def test_blocks_match_the_change_of_basis(self, case):
+        m, vectors = case
+        sub = restrict_model(m, vectors)
+        quo, lift = quotient_model(m, vectors)
+        blocks, free = _old_blocks(m, vectors)
+        assert blocks == list(
+            zip(sub.generators + (sub.delta,), quo.generators + (quo.delta,))
+        )
+        for j, i in enumerate(free):
+            assert lift(_unit(len(free), j)) == _unit(m.dim, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=models_with_invariant_subspace(), data=st.data())
+    def test_non_invariant_subspace_raises(self, case, data):
+        m, _ = case
+        n = m.dim
+        coeffs = st.sampled_from([gr(0), gr(1), gr(-1), gr(0, 1), gr(2)])
+        k = data.draw(st.integers(1, n - 1))
+        vectors = [tuple(data.draw(coeffs) for _ in range(n)) for _ in range(k)]
+        span_dim = span_of(vectors, n, EXACT).dim
+        assume(0 < span_dim < spin(vectors, m.generators, n, EXACT).dim)
+        with pytest.raises(NotStable):
+            restrict_model(m, vectors)
+        with pytest.raises(NotStable):
+            quotient_model(m, vectors)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_successive_quotients_match_one_shot(self, seed):
+        m, *_ = random_exact_model(random.Random(seed), max_dim=6)
+        successive = composition_series_data(m).factors
+        one_shot = _one_shot_factors(m)
+
+        def content(factors):
+            return Counter((f.dim, canonical_key(f)) for f in factors)
+
+        assert content(successive) == content(one_shot)
+
+    def test_exact_transport_forms_no_inverse_or_determinant(self, monkeypatch):
+        m, *_ = random_exact_model(random.Random(7), max_dim=6)
+        vectors = find_proper_submodule(m)
+        assert 0 < len(vectors) < m.dim
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("exact transport formed an inverse or a determinant")
+
+        monkeypatch.setattr(Matrix, "inverse", forbidden)
+        monkeypatch.setattr(Matrix, "det", forbidden)
+        sub = restrict_model(m, vectors)
+        quo, _ = quotient_model(m, vectors)
+        assert sub.dim + quo.dim == m.dim
+
+    @pytest.mark.parametrize("backend", [EXACT, APPROX])
+    def test_zero_and_full_subspaces(self, backend):
+        j = exact_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+        j = j if backend == EXACT else j.to_approx()
+        m = model([j], j + j.inverse())
+        full = Matrix.identity(3, backend).columns()
+        assert restrict_model(m, []).dim == 0
+        assert quotient_model(m, [])[0].generators[0].agrees_with(j)
+        assert restrict_model(m, full).generators[0].agrees_with(j)
+        assert quotient_model(m, full)[0].dim == 0
+        assert subquotient_spectrum_check(m, [], []).rows == ()
+
+
+class TestMinimalSubmodule:
+    def test_non_echelon_witness_is_composed_in_the_restriction_basis(self, monkeypatch):
+        # the kernel of [1 1 1] as nullspace returns it, (-1,1,0), (-1,0,1),
+        # is not echelon; the restriction to it is written in (1,0,-1),
+        # (0,1,-1).  Its eigenlines (1,-1,0) and (1,1,-2) are read in those
+        # coordinates, and read in the witness's own they are not invariant.
+        from tracelab import spectral
+
+        u = Matrix.from_columns(
+            [(gr(1), gr(-1), gr(0)), (gr(1), gr(1), gr(-2)), (gr(1), gr(1), gr(1))], EXACT
+        )
+        g = u @ exact_matrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) @ u.inverse()
+        m = model([g], g)
+        witness = nullspace(exact_matrix([[1, 1, 1]]))
+        assert witness == [(gr(-1), gr(1), gr(0)), (gr(-1), gr(0), gr(1))]
+        original = spectral.find_proper_submodule
+        monkeypatch.setattr(
+            spectral,
+            "find_proper_submodule",
+            lambda current: witness if current is m else original(current),
+        )
+        basis, factor = minimal_submodule(m)
+        assert len(basis) == factor.dim == 1
+        assert spin(basis, m.generators, 3, EXACT).dim == 1
