@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-import sympy
 
 from .errors import (
     BackendMismatch,
@@ -44,6 +43,7 @@ from .scalars import (
     same_backend,
     zero,
 )
+from .zfactor import factor_list, is_squarefree
 
 MAX_EIGEN_DIM = 2000
 
@@ -688,7 +688,7 @@ def _poly_eval_scalar(coeffs, x: GaussianRational) -> GaussianRational:
 # nonzero leading coefficient; ``[]`` is zero.  Factoring follows Trager's
 # norm method (Trager 1976; Cohen, GTM 138, 3.6): a squarefree p over Q(i)
 # is split by the factors over Z of the norm p(x - s i) * conj(p)(x + s i),
-# so sympy serves only as an integer factorizer.
+# which ``zfactor`` finds with Zassenhaus's algorithm.
 
 
 def _stripped(p):
@@ -777,23 +777,20 @@ def _irreducible_factors(p):
     """Monic irreducible factors over Q(i) of a monic squarefree ``p``."""
     if len(p) <= 2:
         return [p]
-    x = sympy.Symbol("x")
     s = 0
     while True:
         # the norm of p(x - s i) has rational coefficients
         q = _poly_shift(p, GaussianRational(0, -s))
-        norm = sympy.Poly(
-            _numerators(_poly_mul(q, [c.conjugate() for c in q]))[0], x, domain="ZZ"
-        )
-        if norm.is_sqf:
+        norm = _numerators(_poly_mul(q, [c.conjugate() for c in q]))[0]
+        if is_squarefree(norm):
             break
         s += 1
-    factors = norm.factor_list()[1]
+    factors = factor_list(norm)[1]
     if len(factors) == 1:
         return [p]
     shift = GaussianRational(0, s)
     return [
-        _poly_gcd(p, _poly_shift([GaussianRational(int(c)) for c in g.all_coeffs()], shift))
+        _poly_gcd(p, _poly_shift([GaussianRational(c) for c in g], shift))
         for g, _ in factors
     ]
 
@@ -803,7 +800,7 @@ def factor_gaussian(coeffs):
 
     Returns (monic factor coefficients, multiplicity) pairs: Yun's
     squarefree parts, each split by Trager's norm with one integer
-    ``factor_list`` call (none for a linear part).
+    ``zfactor.factor_list`` call (none for a linear part).
     """
     return [
         (factor, mult)

@@ -851,22 +851,38 @@ class FiltrationSearch:
     trials: int
 
 
-def _random_unimodular(dim: int, backend: str, rng: random.Random) -> Matrix:
+def _random_unimodular(dim: int, backend: str, rng: random.Random, ctx: ToleranceContext):
+    """A random conjugator ``s`` and its inverse.
+
+    Exact: ``s`` is a product of elementary row operations on the
+    identity, so its inverse applies the opposite operations in reverse
+    order and no elimination runs.  Approx: a random unitary, inverted by
+    ``Matrix.inverse``.
+    """
     if backend == EXACT:
-        rows = [list(row) for row in Matrix.identity(dim, EXACT).entries]
+        ops = []
         for _ in range(2 * dim):
             i = rng.randrange(dim)
             j = rng.randrange(dim)
-            if i == j:
-                continue
-            c = GaussianRational(rng.choice([-1, 1]), rng.choice([-1, 0, 1]))
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        return Matrix(rows, EXACT)
+            if i != j:
+                ops.append((i, j, GaussianRational(rng.choice([-1, 1]), rng.choice([-1, 0, 1]))))
+        s = _row_operations(dim, ops)
+        s_inv = _row_operations(dim, [(i, j, -c) for i, j, c in reversed(ops)])
+        return s, s_inv
     data = np.array(
         [[rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(dim)] for _ in range(dim)]
     )
     q, _ = np.linalg.qr(data)
-    return Matrix.from_numpy(q)
+    s = Matrix.from_numpy(q)
+    return s, s.inverse(ctx)
+
+
+def _row_operations(dim: int, ops) -> Matrix:
+    """The identity after ``row i += c * row j`` for each ``(i, j, c)``."""
+    rows = [list(row) for row in Matrix.identity(dim, EXACT).entries]
+    for i, j, c in ops:
+        rows[i] = [a + c * b if b else a for a, b in zip(rows[i], rows[j])]
+    return Matrix(rows, EXACT)
 
 
 def random_pi_filtration_length(
@@ -884,8 +900,7 @@ def random_pi_filtration_length(
     certified = False
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
-        s = _random_unimodular(m.dim, m.backend, rng)
-        s_inv = s.inverse(m.context)
+        s, s_inv = _random_unimodular(m.dim, m.backend, rng, m.context)
         gens = tuple(s_inv @ g @ s for g in m.generators)
         delta = s_inv @ m.delta @ s
         # a conjugate keeps invertibility and the spectrum: trusted

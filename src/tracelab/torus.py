@@ -372,6 +372,16 @@ def quad(f: BumpTestFunction, xis, weights, budget: float):
     return value, error
 
 
+# the most terms a truncated side sums: (2K + 1) per character frequency on
+# the spectral side, 2N + 1 on the geometric side
+MAX_TRUNCATION_TERMS = 100_000
+
+
+def _check_terms(side: str, terms: int):
+    if terms > MAX_TRUNCATION_TERMS:
+        raise SizeLimit(f"{side}: {terms} terms exceed {MAX_TRUNCATION_TERMS}")
+
+
 @dataclass(frozen=True)
 class TruncationParams:
     """Cutoffs: |k| <= K on the spectral side, |n| <= N on the geometric side.
@@ -379,6 +389,8 @@ class TruncationParams:
     Tail bounds are computed, not assumed; every verification statement is
     conditional on them.  ``spectral_tail_cap`` (optional) turns an
     oversized certified tail into an error instead of a silent loose bound.
+    A side with more than ``MAX_TRUNCATION_TERMS`` terms raises
+    ``SizeLimit`` before it sums any.
     """
 
     K: int = 8
@@ -418,6 +430,7 @@ def spectral_side_torus(twist: TorusTwist, f, params: TruncationParams):
     """
     thetas = twist.theta_data()
     ks = range(-params.K, params.K + 1)
+    _check_terms(f"spectral side at K = {params.K}", len(ks) * len(thetas))
     tail = _spectral_tail_bound(twist, f, params.K)
     if f.kind == "bump":
         xis = [theta + k for theta, _ in thetas for k in ks]
@@ -481,6 +494,7 @@ def geometric_side_torus(twist: TorusTwist, f, params: TruncationParams):
         raise OverflowError(
             f"tr(omega(1)^n) overflows before |n| = N = {params.N}"
         )
+    _check_terms(f"geometric side at N = {params.N}", 2 * params.N + 1)
     value = 0j
     for n in range(-params.N, params.N + 1):
         value += f.value(n) * twist.trace_power(n)
@@ -575,14 +589,18 @@ def verify_torus(
     )
 
 
+_NAN_ERRORS = ("math domain error", "cannot convert float NaN to integer")
+
+
 def _in_float_range(side: str, compute, *args):
     try:
         return compute(*args)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        # an overflow, a divisor that underflowed to zero, or math's domain
-        # error on an inf/nan intermediate; any other ValueError keeps its
-        # type.  float ** float's OverflowError carries (errno, message)
-        if isinstance(exc, ValueError) and str(exc) != "math domain error":
+        # an overflow, a divisor that underflowed to zero, math's domain
+        # error on an inf/nan intermediate or a nan rounded to an int; any
+        # other ValueError keeps its type.  float ** float's OverflowError
+        # carries (errno, message)
+        if isinstance(exc, ValueError) and str(exc) not in _NAN_ERRORS:
             raise
         raise FloatRangeExceeded(
             f"{side}: outside double precision ({exc.args[-1]})"

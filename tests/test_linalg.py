@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_matrix, gr, random_unimodular_exact
+from tracelab import zfactor
 from tracelab.errors import (
     BackendMismatch,
     ExactEigenvalueNotInField,
+    SizeLimit,
     SpectralPole,
 )
 from tracelab.linalg import (
@@ -29,6 +31,7 @@ from tracelab.linalg import (
     span_of,
 )
 from tracelab.scalars import APPROX, EXACT, GR_ONE, GR_ZERO, GaussianRational, coerce
+from tracelab.zfactor import MAX_MODULAR_FACTORS, factor_list, is_squarefree
 
 
 def brute_row_reduce(rows):
@@ -487,6 +490,94 @@ class TestFactorGaussian:
         result = factor_gaussian(coeffs)
         assert all(f[0] == GR_ONE for f, _ in result)
         assert as_multiset(result) == sympy_qqi_factors(coeffs)
+
+
+def int_product(factors):
+    out = [1]
+    for factor in factors:
+        out = [
+            sum(out[i] * factor[k - i] for i in range(len(out)) if 0 <= k - i < len(factor))
+            for k in range(len(out) + len(factor) - 1)
+        ]
+    return out
+
+
+def sympy_integer_factors(coeffs):
+    """The oracle: sympy's ``factor_list`` over ZZ, as plain integers."""
+    content, factors = sympy.Poly(coeffs, sympy.Symbol("x"), domain="ZZ").factor_list()
+    return int(content), sorted(([int(c) for c in g.all_coeffs()], k) for g, k in factors)
+
+
+def cyclotomic_norm(n):
+    """Phi_n(x - i) * Phi_n(x + i): the Trager norm of Phi_n at shift 1."""
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(n, x)
+    norm = sympy.expand(phi.subs(x, x - sympy.I) * phi.subs(x, x + sympy.I))
+    return [int(c) for c in sympy.Poly(norm, x).all_coeffs()]
+
+
+@st.composite
+def integer_products(draw):
+    """A nonzero integer times 1-4 integer factors of degree 1-4 with
+    nonzero (often non-unit) leading coefficients, some repeated."""
+    factors = [[draw(st.integers(-6, 6).filter(bool))]]
+    for _ in range(draw(st.integers(1, 4))):
+        lead = draw(st.integers(-9, 9).filter(bool))
+        rest = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+        factors += [[lead, *rest]] * draw(st.integers(1, 3))
+    return int_product(factors)
+
+
+class TestIntegerFactorizer:
+    SD2 = [1, 0, -10, 0, 1]  # minimal polynomial of sqrt 2 + sqrt 3
+    SD3 = [1, 0, -40, 0, 352, 0, -960, 0, 576]  # ... + sqrt 5
+    # name: (polynomial, the expected factor_list)
+    PINNED = {
+        "Swinnerton-Dyer 4": (SD2, (1, [(SD2, 1)])),
+        "Swinnerton-Dyer 8": (SD3, (1, [(SD3, 1)])),
+        "Phi_7 norm": (cyclotomic_norm(7), (1, [(cyclotomic_norm(7), 1)])),
+        "Phi_9 norm": (cyclotomic_norm(9), (1, [(cyclotomic_norm(9), 1)])),
+        "x^12 - 1": (
+            [1] + [0] * 11 + [-1],
+            (1, [([1, -1], 1), ([1, 1], 1), ([1, -1, 1], 1), ([1, 0, 1], 1),
+                 ([1, 1, 1], 1), ([1, 0, -1, 0, 1], 1)]),
+        ),
+        "linear": ([-6, -4], (-2, [([3, 2], 1)])),
+        "SD2^2 (3x - 1)^3 x": (
+            int_product([SD2, SD2, [3, -1], [3, -1], [3, -1], [1, 0]]),
+            (1, [([1, 0], 1), ([3, -1], 3), (SD2, 2)]),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned(self, name):
+        coeffs, expected = self.PINNED[name]
+        assert factor_list(coeffs) == expected
+        assert sympy_integer_factors(coeffs) == (expected[0], sorted(expected[1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=integer_products())
+    def test_matches_sympy(self, coeffs):
+        content, factors = factor_list(coeffs)
+        assert (content, sorted(factors)) == sympy_integer_factors(coeffs)
+
+    def test_constants(self):
+        assert factor_list([]) == (0, [])
+        assert factor_list([0, -7]) == (-7, [])
+
+    def test_squarefree(self):
+        assert is_squarefree(self.SD2)
+        assert not is_squarefree(int_product([[2, 1], [2, 1], [1, 0, 1]]))
+
+    def test_too_many_modular_factors_raise_before_lifting(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("lifted past the cap")
+
+        monkeypatch.setattr(zfactor, "_hensel_lift", forbidden)
+        # MAX + 1 linear factors stay as many factors mod every prime
+        coeffs = int_product([[1, -k] for k in range(1, MAX_MODULAR_FACTORS + 2)])
+        with pytest.raises(SizeLimit, match=f"more than {MAX_MODULAR_FACTORS}$"):
+            factor_list(coeffs)
 
 
 class TestProjectorReconstruction:

@@ -1,9 +1,10 @@
 import copy
 import json
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracelab.cli import bundled_scenario_paths, main
@@ -546,6 +547,18 @@ class TestFloatRange:
         assert captured.err.count("\n") == 1
         assert "jordan" in captured.out and "PASS" in captured.out
 
+    def test_a_huge_spectral_truncation_is_refused_at_once(self, tmp_path, capsys):
+        # K = 10**7 would sum 2 * 10**7 + 1 transforms; the size limit
+        # refuses it before the first
+        bad = tmp_path / "k-huge.json"
+        bad.write_text(torus_scalar_2({("truncation", "K"): 10**7}), encoding="utf-8")
+        started = time.process_time()
+        assert main(["verify", str(bad)]) == 1
+        assert time.process_time() - started < 1.0
+        assert capsys.readouterr().err.startswith(
+            f"verification error: {bad}: spectral side at K = 10000000: 20000001 terms exceed "
+        )
+
     def test_library_error_names_the_side(self):
         # the overflow is found before the 2 * 10**7 + 1 terms are summed
         fields, side = FLOAT_RANGE["N-huge"]
@@ -562,6 +575,9 @@ class TestFloatRange:
         center=st.floats(min_value=-1e308, max_value=1e308),
         big_n=st.integers(min_value=0, max_value=12),
     )
+    # width^2 underflows to 0 and log(2 * growth) overflows: 0 * inf is a nan
+    # that the geometric tail rounds to an int
+    @example(eigenvalue=(0.0, 8.98846567431158e307), width=1e-320, center=0.0, big_n=0)
     def test_runs_raise_only_library_errors(self, eigenvalue, width, center, big_n):
         text = minimal_torus_scenario(
             twist={"blocks": [{"eigenvalue": list(eigenvalue)}]},

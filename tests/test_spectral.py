@@ -21,8 +21,9 @@ from tracelab.errors import (
     SigmaNotSpectral,
 )
 from tracelab.linalg import Matrix, nullspace, span_of
-from tracelab.scalars import APPROX, EXACT
+from tracelab.scalars import APPROX, DEFAULT_CONTEXT, EXACT
 from tracelab.spectral import (
+    _random_unimodular,
     canonical_key,
     composition_series,
     composition_series_data,
@@ -273,6 +274,24 @@ class TestRandomFiltration:
         two = pi_class(model([exact_matrix([[2]])], exact_matrix([[2]])))
         res = random_pi_filtration_length(m, two, trials=5, seed=9)
         assert res.length == 1 and res.certified
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 6), seed=st.integers(0, 2**32))
+    def test_exact_conjugator_comes_with_its_inverse(self, dim, seed):
+        s, s_inv = _random_unimodular(dim, EXACT, random.Random(seed), DEFAULT_CONTEXT)
+        assert s @ s_inv == Matrix.identity(dim, EXACT)
+
+    def test_exact_search_forms_no_inverse(self, monkeypatch):
+        j = exact_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+        m = model([j], j + j.inverse())
+        one = pi_class(model([exact_matrix([[1]])], exact_matrix([[2]])))
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the exact filtration search formed an inverse")
+
+        monkeypatch.setattr(Matrix, "inverse", forbidden)
+        res = random_pi_filtration_length(m, one, trials=5, seed=1)
+        assert res.length == 2 and res.certified
 
 
 class TestSpectralTrace:

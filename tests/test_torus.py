@@ -20,6 +20,7 @@ from tracelab.reporting import load_scenario, run
 from tracelab.spectral import spectrum
 from tracelab.torus import (
     ALIAS_SHARE,
+    MAX_TRUNCATION_TERMS,
     BumpTestFunction,
     GaussianTestFunction,
     TorusTwist,
@@ -482,3 +483,34 @@ def test_trace_power_reuses_the_merged_jordan_data(monkeypatch):
     monkeypatch.setattr(TorusTwist, "jordan_data", None)  # any call now fails
     assert [tw.trace_power(n) for n in range(-9, 10)] == expected
     geometric_side_torus(tw, GaussianTestFunction(), TruncationParams(K=2, N=30))
+
+
+class TestTruncationSizeLimit:
+    # two character frequencies: (2K + 1) * 2 terms on the spectral side
+    TWIST = TorusTwist(((2.0, 1), (1.0, 1)))
+
+    def forbid_sums(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("summed a term past the size limit")
+
+        monkeypatch.setattr(GaussianTestFunction, "transform", forbidden)
+        monkeypatch.setattr(GaussianTestFunction, "value", forbidden)
+        monkeypatch.setattr(TorusTwist, "trace_power", forbidden)
+
+    def test_spectral_side(self, monkeypatch):
+        big_k = MAX_TRUNCATION_TERMS // 4  # 2 * (2K + 1) = MAX + 2 terms
+        self.forbid_sums(monkeypatch)
+        with pytest.raises(SizeLimit, match=f"spectral side at K = {big_k}: "):
+            spectral_side_torus(self.TWIST, GaussianTestFunction(), TruncationParams(K=big_k))
+
+    def test_geometric_side(self, monkeypatch):
+        big_n = MAX_TRUNCATION_TERMS // 2  # 2N + 1 = MAX + 1 terms
+        self.forbid_sums(monkeypatch)
+        with pytest.raises(SizeLimit, match=f"geometric side at N = {big_n}: "):
+            geometric_side_torus(trivial_torus_twist(), GaussianTestFunction(), TruncationParams(N=big_n))
+
+    def test_at_the_limit_both_sides_sum(self):
+        f = GaussianTestFunction()
+        spectral_side_torus(self.TWIST, f, TruncationParams(K=MAX_TRUNCATION_TERMS // 4 - 1))
+        geometric_side_torus(trivial_torus_twist(), f, TruncationParams(N=MAX_TRUNCATION_TERMS // 2 - 1))
+
