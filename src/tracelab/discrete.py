@@ -264,14 +264,14 @@ def _induced_operator(subgroup, twist, element) -> Matrix:
     return Matrix(grid, backend)
 
 
-def induce(subgroup: FiniteIndexSubgroup, twist: Twist, context: ToleranceContext = DEFAULT_CONTEXT, check_words: int = 4, seed: int = 0) -> InducedRep:
+def induce(subgroup: FiniteIndexSubgroup, twist: Twist, context: ToleranceContext = DEFAULT_CONTEXT) -> InducedRep:
     """Induced representation as an admissible model.
 
     The distinguished operator is the symmetrized sum of the generator
     images, which lies in the image of the group algebra, so every
     invariant subspace is automatically stable under it.  The
     homomorphism property is verified exactly on all generator pairs and
-    on a sample of short random words.
+    on four short words drawn from a fixed seed.
     """
     if twist.subgroup is not subgroup:
         raise ValueError("twist is attached to a different subgroup")
@@ -289,8 +289,8 @@ def induce(subgroup: FiniteIndexSubgroup, twist: Twist, context: ToleranceContex
                 raise IllFormedCosetAction(
                     "induced operators violate the homomorphism property"
                 )
-    rng = random.Random(seed)
-    for _ in range(check_words):
+    rng = random.Random(0)
+    for _ in range(4):
         length = rng.randint(2, 4)
         word = [rng.randrange(len(gens)) for _ in range(length)]
         elt = group.identity()

@@ -887,7 +887,7 @@ def cluster_eigenvalues(values, ctx: ToleranceContext = DEFAULT_CONTEXT):
     return out
 
 
-def eigenvalues(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT, spectrum_hint=None):
+def eigenvalues(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
     """Eigenvalues with algebraic multiplicities.
 
     Exact: complete list demanded; a leftover outside the field raises
@@ -900,13 +900,6 @@ def eigenvalues(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT, spectrum_hin
     if m.backend == EXACT:
         diag = [m.entries[i][i] for i in range(m.rows)]
         roots, leftover = gaussian_rational_roots(charpoly(m), extra_candidates=diag)
-        if spectrum_hint:
-            found = {r for r, _ in roots}
-            for hint in spectrum_hint:
-                if hint not in found:
-                    raise ExactEigenvalueNotInField(
-                        f"hint {hint} is not an eigenvalue over the exact field"
-                    )
         if leftover:
             raise ExactEigenvalueNotInField(
                 f"{leftover} eigenvalue(s) lie outside the Gaussian rationals"
@@ -916,41 +909,7 @@ def eigenvalues(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT, spectrum_hin
         vals = np.linalg.eigvals(m.to_numpy())
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    clustered = cluster_eigenvalues(list(vals), ctx)
-    if spectrum_hint:
-        scale = max([abs(z) for z, _ in clustered], default=1.0)
-        radius = ctx.cluster_radius(scale)
-        anchored = []
-        used = [False] * len(clustered)
-        for hint in spectrum_hint:
-            h = complex(hint)
-            match = None
-            for idx, (center, mult) in enumerate(clustered):
-                if not used[idx] and abs(center - h) <= radius:
-                    match = (h, mult)
-                    used[idx] = True
-                    break
-            if match is None:
-                raise NonConvergence(f"hinted eigenvalue {hint!r} not found")
-            anchored.append(match)
-        for idx, pair in enumerate(clustered):
-            if not used[idx]:
-                anchored.append(pair)
-        anchored.sort(key=lambda item: (item[0].real, item[0].imag))
-        return anchored
-    return clustered
-
-
-def in_field_eigenvalues(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
-    """Eigenvalues found in the working field, tolerating leftovers.
-
-    Same as :func:`eigenvalues` except exact-backend leftovers are
-    reported instead of raised.  Returns (pairs, leftover_degree).
-    """
-    if m.backend == EXACT:
-        diag = [m.entries[i][i] for i in range(m.rows)]
-        return gaussian_rational_roots(charpoly(m), extra_candidates=diag)
-    return eigenvalues(m, ctx), 0
+    return cluster_eigenvalues(list(vals), ctx)
 
 
 @dataclass(frozen=True)
@@ -1009,13 +968,13 @@ def generalized_eigenspace(m: Matrix, lam, alg_mult=None, ctx: ToleranceContext 
     )
 
 
-def generalized_eigenspaces(m: Matrix, spectrum_hint=None, ctx: ToleranceContext = DEFAULT_CONTEXT):
+def generalized_eigenspaces(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
     """Complete generalized eigenspace decomposition of a square matrix.
 
     Post: the spaces are independent and their dimensions sum to the
     ambient dimension (the finite-dimensional spectral decomposition).
     """
-    pairs = eigenvalues(m, ctx, spectrum_hint)
+    pairs = eigenvalues(m, ctx)
     out = []
     total = 0
     for lam, mult in pairs:

@@ -11,19 +11,26 @@ eigenspaces organise everything else.  On top of it this module builds
   multiplicity-weighted trace identity,
 * sub-quotient spectrum bookkeeping.
 
-Certification strategy.  A proper invariant subspace is searched with a
-deterministic probe sequence: ``delta`` first, then generator images,
-then short words and small combinations (all of which stabilise every
-invariant subspace).  A probe eigenvalue with a one-dimensional kernel is
-conclusive in both directions: spinning its kernel vector and the
-transposed kernel vector either exhibits a proper subspace (directly, or
-through the annihilator of a proper dual subspace) or proves there is
-none.  When no conclusive probe exists the module falls back to spinning
-all available eigenvectors and finally to a structural backstop (radical
-of the generated algebra, then commutant splitting).  On the approx
-backend the backstop is complete; on the exact backend a module can in
-principle exhaust it, in which case `IrreducibilityUndecided` is raised
-rather than guessed away.
+Certification strategy.  A proper invariant subspace is searched with
+deterministic probes, operators in the algebra the generators span.  A
+probe eigenvalue with a one-dimensional kernel is conclusive in both
+directions: spinning its kernel vector and the transposed kernel vector
+either exhibits a proper subspace (directly, or through the annihilator
+of a proper dual subspace) or proves there is none.  The stages, each of
+which finds a subspace, certifies there is none, or is undecided:
+
+1. the short tier (``delta``, each generator image g, g + g^-1) at cheaply
+   found eigenvalues, then spins of the kernels it left undecided;
+2. exact only: the structural backstop (radical of the generated
+   algebra, then commutant splitting), cheaper than the extended tier;
+3. the extended tier (products, small combinations, ``delta`` g), then
+   spins of its own undecided kernels;
+4. exact: the short tier with complete spectra; approx: the backstop.
+
+A backstop certificate is not trusted while a proper dual subspace is
+left without a witness: the exact search goes from stage 2 to stage 4,
+and the approx search skips its backstop.  When every stage is undecided
+`IrreducibilityUndecided` is raised rather than guessed away.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ from .linalg import (
     charpoly,
     eigenvalues,
     factor_gaussian,
+    gaussian_rational_roots,
     generalized_eigenspace,
     generalized_eigenspaces,
-    in_field_eigenvalues,
     intertwiner_space,
     minimal_polynomial,
     nullspace,
@@ -146,16 +153,16 @@ _RESOLVENT_CANDIDATES = (
 )
 
 
-def default_resolvent_sample(delta: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT, count: int = 2):
-    """Pick non-real sample points off the spectrum of delta (an avatar of
-    the dense resolvent set the admissibility axioms posit)."""
+def default_resolvent_sample(delta: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
+    """Pick two non-real sample points off the spectrum of delta (an avatar
+    of the dense resolvent set the admissibility axioms posit)."""
     out = []
     ident = Matrix.identity(delta.rows, delta.backend)
     for lam in _RESOLVENT_CANDIDATES:
         lam = coerce(lam, delta.backend)
         if (delta - ident.scale(lam)).is_invertible(ctx):
             out.append(lam)
-            if len(out) == count:
+            if len(out) == 2:
                 break
     return tuple(out)
 
@@ -317,16 +324,20 @@ def spin(seeds, mats, dim: int, backend: str, ctx: ToleranceContext = DEFAULT_CO
 
 # -- proper submodule search -------------------------------------------------
 
+# the verdict of a stage that neither finds a submodule nor certifies simplicity
+UNDECIDED = "undecided"
+
 
 def _probe_matrices(m: AdmissibleModel, extended: bool):
-    """Deterministic probe sequence inside the stabilising algebra."""
+    """One tier of the deterministic probe sequence inside the stabilising
+    algebra, yielded lazily: the short tier (delta, g, g + g^-1), or the
+    extended tier (products, combinations, delta g)."""
     gens = m.generators
-    yield m.delta
-    for g in gens:
-        yield g
-    for g in gens:
-        yield g + g.inverse(m.context)
     if not extended:
+        yield m.delta
+        yield from gens
+        for g in gens:
+            yield g + g.inverse(m.context)
         return
     k = len(gens)
     for i in range(k):
@@ -342,32 +353,30 @@ def _probe_matrices(m: AdmissibleModel, extended: bool):
         yield m.delta @ g
 
 
-def _annihilator(dual_vectors, dim: int, backend: str, ctx: ToleranceContext):
-    rows = Matrix([list(v) for v in dual_vectors], backend)
-    return nullspace(rows, ctx)
-
-
 def _eigen_pairs_for_probe(t: Matrix, ctx: ToleranceContext, thorough: bool = False):
     """Probe eigenvalues: cheap and possibly partial unless thorough.
 
     Probing only needs seeds, not a complete spectrum, so the default
     exact path evaluates the characteristic polynomial at a candidate list
     (an order of magnitude cheaper than factoring it).  The thorough retry
-    and the approx backend return the full spectrum.
+    returns every root in the field, and the approx backend the full
+    spectrum.
     """
-    if t.backend == APPROX or thorough:
-        pairs, _leftover = in_field_eigenvalues(t, ctx)
-        return pairs
+    if t.backend == APPROX:
+        return eigenvalues(t, ctx)
     coeffs = charpoly(t)
-    candidates = root_candidates(t.entries[i][i] for i in range(t.rows))
-    return [(lam, None) for lam in candidates if not _poly_eval_scalar(coeffs, lam)]
+    diag = [t.entries[i][i] for i in range(t.rows)]
+    if thorough:
+        return gaussian_rational_roots(coeffs, diag)[0]
+    return [(lam, None) for lam in root_candidates(diag) if not _poly_eval_scalar(coeffs, lam)]
 
 
 def find_proper_submodule(m: AdmissibleModel):
     """Basis of a proper nonzero invariant subspace, or None if certified simple.
 
-    Raises IrreducibilityUndecided when the exact backend exhausts every
-    conclusive test (see module docstring).
+    Runs the stages of the module docstring in order; each returns a
+    witness basis, None (certified simple) or ``UNDECIDED``.  Raises
+    IrreducibilityUndecided when every stage is inconclusive.
     """
     n = m.dim
     if n <= 1:
@@ -377,41 +386,39 @@ def find_proper_submodule(m: AdmissibleModel):
     gens = list(m.generators)
     gens_t = [g.transpose() for g in gens]
     ident = Matrix.identity(n, backend)
-    fallback = []
     reducible_unwitnessed = False
 
-    def check_annihilator(dual_basis):
+    def annihilator_witness(dual: Span):
         # the annihilator of a proper dual submodule is a proper submodule,
         # but a defective dual basis can be too skew numerically; accept it
         # only when re-spinning confirms invariance at a proper dimension
-        ann = _annihilator(dual_basis, n, backend, ctx)
-        if not ann:
-            return None
-        closed = spin(ann, gens, n, backend, ctx)
-        if 0 < closed.dim < n:
-            return closed.basis()
+        nonlocal reducible_unwitnessed
+        ann = nullspace(Matrix([list(v) for v in dual.basis()], backend), ctx)
+        if ann:
+            closed = spin(ann, gens, n, backend, ctx)
+            if 0 < closed.dim < n:
+                return closed.basis()
+        reducible_unwitnessed = True
         return None
 
-    def norton(t: Matrix, lam):
-        """Conclusive test at a geometric-multiplicity-one eigenvalue."""
-        nonlocal reducible_unwitnessed
+    def norton(t: Matrix, lam, kernels):
+        """Conclusive test at a geometric-multiplicity-one eigenvalue; an
+        inconclusive one leaves its kernel to the fallback spins."""
         kernel = nullspace(t - ident.scale(lam), ctx)
+        if kernel:
+            kernels.append((t, lam, kernel))
         if len(kernel) != 1:
-            return ("fallback", kernel)
+            return UNDECIDED
         sub = spin(kernel, gens, n, backend, ctx)
         if not sub.is_full():
-            return ("submodule", sub.basis())
+            return sub.basis()
         kernel_t = nullspace(t.transpose() - ident.scale(lam), ctx)
         if len(kernel_t) != 1:
-            return ("fallback", kernel)
+            return UNDECIDED
         dual = spin(kernel_t, gens_t, n, backend, ctx)
-        if not dual.is_full():
-            witness = check_annihilator(dual.basis())
-            if witness is not None:
-                return ("submodule", witness)
-            reducible_unwitnessed = True
-            return ("fallback", kernel)
-        return ("certified", None)
+        if dual.is_full():
+            return None
+        return annihilator_witness(dual) or UNDECIDED
 
     def generalized_seed_spins(t: Matrix, pairs):
         # kernels of (t - lam)^p are far better conditioned than simple
@@ -426,71 +433,51 @@ def find_proper_submodule(m: AdmissibleModel):
                 return sub.basis()
         return None
 
-    def run_probe_phase(extended: bool, thorough: bool):
-        outcome = None
+    def probe_stage(extended: bool, thorough: bool):
+        """One probe tier, then the fallback spins over its kernels."""
+        kernels = []
         for t in _probe_matrices(m, extended):
             pairs = _eigen_pairs_for_probe(t, ctx, thorough)
             witness = generalized_seed_spins(t, pairs)
             if witness is not None:
-                return ("submodule", witness)
+                return witness
             for lam, _mult in pairs:
-                status, payload = norton(t, lam)
-                if status == "submodule":
-                    return (status, payload)
-                if status == "certified":
-                    return (status, None)
-                if status == "fallback" and payload:
-                    fallback.append((t, lam, payload))
-        return outcome
-
-    def run_fallback_spins():
-        nonlocal reducible_unwitnessed
-        for t, lam, kernel in fallback:
+                verdict = norton(t, lam, kernels)
+                if verdict != UNDECIDED:
+                    return verdict
+        for t, lam, kernel in kernels:
             for v in kernel:
                 sub = spin([v], gens, n, backend, ctx)
                 if not sub.is_full():
                     return sub.basis()
-            kernel_t = nullspace(t.transpose() - ident.scale(lam), ctx)
-            for w in kernel_t:
+            for w in nullspace(t.transpose() - ident.scale(lam), ctx):
                 dual = spin([w], gens_t, n, backend, ctx)
                 if not dual.is_full():
-                    witness = check_annihilator(dual.basis())
+                    witness = annihilator_witness(dual)
                     if witness is not None:
                         return witness
-                    reducible_unwitnessed = True
-        return None
+        return UNDECIDED
 
-    for extended in (False, True):
-        if extended and backend == EXACT:
-            # structural backstop is cheaper than the long exact probe tail
-            verdict = _structural_backstop(m)
-            if verdict != "undecided":
-                if verdict is None and reducible_unwitnessed:
-                    break
-                return verdict
-        outcome = run_probe_phase(extended, thorough=False)
-        if outcome is not None:
-            return outcome[1]
-        witness = run_fallback_spins()
-        if witness is not None:
-            return witness
-    if not reducible_unwitnessed:
+    verdict = probe_stage(extended=False, thorough=False)
+    distrusted = False
+    if verdict == UNDECIDED and backend == EXACT:
+        # the structural backstop is cheaper than the long exact probe tail
         verdict = _structural_backstop(m)
-        if verdict != "undecided":
-            return verdict
-    # last resort: retry the short probe list with complete spectra
-    if backend == EXACT:
-        fallback.clear()
-        outcome = run_probe_phase(extended=False, thorough=True)
-        if outcome is not None:
-            return outcome[1]
-        witness = run_fallback_spins()
-        if witness is not None:
-            return witness
-    raise IrreducibilityUndecided(
-        f"no conclusive probe for model {m.label!r} (dim {n}); "
-        "supply a finer delta or run on the approx backend"
-    )
+        if verdict is None and reducible_unwitnessed:
+            verdict, distrusted = UNDECIDED, True
+    if verdict == UNDECIDED and not distrusted:
+        verdict = probe_stage(extended=True, thorough=False)
+    if verdict == UNDECIDED:
+        if backend == EXACT:
+            verdict = probe_stage(extended=False, thorough=True)
+        elif not reducible_unwitnessed:
+            verdict = _structural_backstop(m)
+    if verdict == UNDECIDED:
+        raise IrreducibilityUndecided(
+            f"no conclusive probe for model {m.label!r} (dim {n}); "
+            "supply a finer delta or run on the approx backend"
+        )
+    return verdict
 
 
 def _algebra_closure(gens, dim: int, backend: str, ctx: ToleranceContext, cap: int = 4096):
@@ -555,7 +542,7 @@ def _poly_eval(coeffs, mat: Matrix) -> Matrix:
 def _structural_backstop(m: AdmissibleModel):
     """Radical / commutant analysis.
 
-    Returns a submodule basis, None (certified simple), or "undecided".
+    Returns a submodule basis, None (certified simple), or ``UNDECIDED``.
     """
     n = m.dim
     ctx = m.context
@@ -599,7 +586,7 @@ def _structural_backstop(m: AdmissibleModel):
         kernel = nullspace(_poly_eval(first, c), ctx)
         if 0 < len(kernel) < n:
             return kernel
-    return "undecided"
+    return UNDECIDED
 
 
 def _minpoly_factors(coeffs):
@@ -920,9 +907,9 @@ def random_pi_filtration_length(
 # -- spectrum and projectors -------------------------------------------------
 
 
-def spectrum(m: AdmissibleModel, spectrum_hint=None):
+def spectrum(m: AdmissibleModel):
     """Complete generalized eigenspace decomposition of delta."""
-    decomp = generalized_eigenspaces(m.delta, spectrum_hint, m.context)
+    decomp = generalized_eigenspaces(m.delta, m.context)
     return [(d.eigenvalue, d) for d in decomp]
 
 
@@ -1159,12 +1146,12 @@ def subquotient_spectrum_check(
     else:
         model_small = None
         quotient = model_large
-    dec_large = generalized_eigenspaces(model_large.delta, None, ctx)
+    dec_large = generalized_eigenspaces(model_large.delta, ctx)
     dec_small = (
-        generalized_eigenspaces(model_small.delta, None, ctx) if model_small else []
+        generalized_eigenspaces(model_small.delta, ctx) if model_small else []
     )
     dec_quot = (
-        generalized_eigenspaces(quotient.delta, None, ctx)
+        generalized_eigenspaces(quotient.delta, ctx)
         if quotient is not None and quotient.dim > 0
         else []
     )

@@ -13,7 +13,7 @@ non-unitarizable regime.  The character pairing is
     F(xi) = integral f(x) exp(2 pi i xi x) dx,
 
 the orientation that makes the trivial twist reproduce classical
-integer-vs-frequency summation (a switchable flag exists for audit).
+integer-vs-frequency summation.
 Both sides are evaluated with certified truncation: every reported value
 carries a tail bound, and a verification passes only when the residual
 is below tolerance plus both tails.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -148,7 +148,7 @@ class GaussianTestFunction:
             * cmath.exp(2j * math.pi * xi * self.center)
             * cmath.exp(-math.pi * self.width**2 * xi * xi)
         )
-        return val, 0.0
+        return val
 
 
 @dataclass(frozen=True)
@@ -395,8 +395,6 @@ class TruncationParams:
 
     K: int = 8
     N: int = 8
-    tail_bound_spectral: float | None = None
-    tail_bound_geometric: float | None = None
     spectral_tail_cap: float | None = None
 
 
@@ -441,7 +439,7 @@ def spectral_side_torus(twist: TorusTwist, f, params: TruncationParams):
         value = 0j
         for theta, m in thetas:
             for k in ks:
-                value += m * f.transform(theta + k)[0]
+                value += m * f.transform(theta + k)
     if params.spectral_tail_cap is not None and tail > params.spectral_tail_cap:
         raise TailBoundExceedsTolerance(
             f"spectral tail {tail:.3e} exceeds cap {params.spectral_tail_cap:.3e}"
@@ -583,9 +581,8 @@ def verify_torus(
     geometric, tail_g = _in_float_range("geometric side", geometric_side_torus, twist, f, params)
     residual = abs(spectral - geometric)
     passed = residual <= tolerance + tail_s + tail_g
-    filled = replace(params, tail_bound_spectral=tail_s, tail_bound_geometric=tail_g)
     return TorusVerification(
-        spectral, geometric, tail_s, tail_g, tolerance, filled, passed
+        spectral, geometric, tail_s, tail_g, tolerance, params, passed
     )
 
 
@@ -608,6 +605,9 @@ def _in_float_range(side: str, compute, *args):
 
 
 # -- mode-truncated Laplacian models ------------------------------------------
+
+# the translations whose actions on the mode span are a model's generators
+_TRANSLATION_SAMPLES = (1.0, 0.5)
 
 
 def _nilpotent_log(size: int) -> np.ndarray:
@@ -637,7 +637,6 @@ def twisted_laplacian_model(
     twist: TorusTwist,
     big_k: int,
     ctx: ToleranceContext = DEFAULT_CONTEXT,
-    translation_samples=(1.0, 0.5),
 ) -> AdmissibleModel:
     """Mode-truncated model of the second-derivative operator.
 
@@ -652,13 +651,14 @@ def twisted_laplacian_model(
     The truncated mode span is genuinely invariant under translations, so
     the model is an honest finite subrepresentation; its spectrum is the
     closed form (2 pi (theta+k))^2 with the generalized multiplicities of
-    the twist.  Translation samples become the model's generators.
+    the twist.  The translations by ``_TRANSLATION_SAMPLES`` become the
+    model's generators.
     """
     dim = twist.dim * (2 * big_k + 1)
     if dim > 2000:
         raise SizeLimit(f"mode truncation dimension {dim} exceeds 2000")
     delta_blocks = []
-    gen_blocks = {y: [] for y in translation_samples}
+    gen_blocks = {y: [] for y in _TRANSLATION_SAMPLES}
     for a, size in twist.blocks:
         theta = log_branch(a)
         m_log = _nilpotent_log(size)
@@ -666,11 +666,11 @@ def twisted_laplacian_model(
             freq = theta + k
             d_op = 2j * math.pi * freq * np.eye(size, dtype=complex) + m_log
             delta_blocks.append(Matrix.from_numpy(-(d_op @ d_op)))
-            for y in translation_samples:
+            for y in _TRANSLATION_SAMPLES:
                 phase = cmath.exp(2j * math.pi * freq * y)
                 gen_blocks[y].append(Matrix.from_numpy(phase * _nilpotent_exp(y * m_log)))
     delta = Matrix.block_diag(delta_blocks)
-    generators = tuple(Matrix.block_diag(gen_blocks[y]) for y in translation_samples)
+    generators = tuple(Matrix.block_diag(gen_blocks[y]) for y in _TRANSLATION_SAMPLES)
     label = f"mode-model(K={big_k}, dim={dim})"
     return AdmissibleModel(
         generators, delta, default_resolvent_sample(delta, ctx), label, ctx

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -95,6 +96,18 @@ MALFORMED_DISCRETE = {
 
 # the structured text the benchmark stores for every bundled scenario
 SUITE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "suite.json"
+# and for every variant of its exact ladder
+LADDER_REFERENCE = SUITE_REFERENCE.with_name("ladder-exact.json")
+
+
+def benchmark_workloads():
+    """The benchmark's scenario generators, loaded read-only by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SUITE_REFERENCE.parents[1] / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestLoading:
@@ -302,6 +315,19 @@ class TestCli:
         paths = {path.stem: path for path in bundled_scenario_paths()}
         for name, text in exact.items():
             assert emit(run(load_scenario(paths[name])), "structured") == text, name
+
+    def test_exact_ladder_output_is_the_stored_reference(self):
+        # the Z/nZ Jordan items call the radical/commutant backstop 11 times
+        # a variant, 3 of them returning a submodule; the bundled suite, 7
+        stored = json.loads(LADDER_REFERENCE.read_text(encoding="utf-8"))
+        workloads = benchmark_workloads()
+        scenarios = [
+            s for v in range(workloads.LADDER_VARIANTS) for s in workloads.ladder_scenarios("exact", v)
+        ]
+        assert sorted(s["id"] for s in scenarios) == sorted(stored)
+        for s in scenarios:
+            report = run(parse_scenario(json.dumps(s, sort_keys=True)))
+            assert emit(report, "structured") == stored[s["id"]], s["id"]
 
     def test_approx_suite_emits_no_numpy_scalars(self, capsys):
         # every scalar an approx matrix hands back is a Python complex, so

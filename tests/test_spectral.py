@@ -16,6 +16,7 @@ from conftest import (
 from tracelab.errors import (
     BackendMismatch,
     BadLambda,
+    IrreducibilityUndecided,
     NonIrreduciblePi,
     NotStable,
     SigmaNotSpectral,
@@ -175,6 +176,35 @@ class TestCompositionSeries:
         data = composition_series_data(m)
         for f in data.factors:
             assert find_proper_submodule(f) is None
+
+
+class TestLateSearchStages:
+    def test_each_tier_is_probed_once_and_the_backstop_runs_once(self, monkeypatch):
+        # g = delta = [[0, 2], [1, 0]] has eigenvalues +-sqrt(2), outside Q(i):
+        # no cheap probe is conclusive, so with the backstop undecided the
+        # search walks every stage: short tier, backstop, extended tier,
+        # short tier with complete spectra
+        from tracelab import spectral
+
+        g = exact_matrix([[0, 2], [1, 0]])
+        m = model([g], g)
+        calls = Counter()
+        probe = spectral._eigen_pairs_for_probe
+
+        def undecided_backstop(_m):
+            calls["backstop"] += 1
+            return spectral.UNDECIDED
+
+        def counted_probe(t, ctx, thorough=False):
+            calls["complete" if thorough else "cheap"] += 1
+            return probe(t, ctx, thorough)
+
+        monkeypatch.setattr(spectral, "_structural_backstop", undecided_backstop)
+        monkeypatch.setattr(spectral, "_eigen_pairs_for_probe", counted_probe)
+        with pytest.raises(IrreducibilityUndecided):
+            find_proper_submodule(m)
+        # cheap: delta, g, g + g^-1, then delta g; complete: the short tier
+        assert calls == {"backstop": 1, "cheap": 4, "complete": 3}
 
 
 class TestClassAssignment:

@@ -251,7 +251,7 @@ class TestInvariants:
         for shift in (1, 2):
             inner, _ = spectral_side_torus(tw, f, TruncationParams(K=8, N=8))
             shifted = sum(
-                f.transform(theta + shift + k)[0] for k in range(-8 - shift, 8 - shift + 1)
+                f.transform(theta + shift + k) for k in range(-8 - shift, 8 - shift + 1)
             )
             assert abs(shifted - inner) < 1e-12
 
@@ -457,15 +457,28 @@ class TestGaussianGeometricTail:
     )
     @example(base=1.1, width=20.0, center=0.0, big_n=10, dim=1)  # mode < N + 1 < n_star
     @example(base=3.0, width=20.0, center=-3.0, big_n=0, dim=2)  # N + 1 < mode
+    @example(base=2.0, width=1.90625, center=0.0, big_n=28, dim=1)  # f(29) is subnormal
     def test_bounds_the_brute_force_sum(self, base, width, center, big_n, dim):
+        import mpmath
+
         tw = TorusTwist(((base, dim),))
         f = GaussianTestFunction(width=width, center=center)
         # past max(mode, N) + 12 width the terms fall by exp(-144 pi)
         mode = width * width * math.log(base) / (2 * math.pi) + abs(center)
         stop = big_n + 2 + math.ceil(mode + 12 * width)
-        brute = math.fsum(
-            dim * base**n * (f.value(n) + f.value(-n)) for n in range(big_n + 1, stop)
-        )
+        # summed at 50 digits: a term near 1e-308 is subnormal in double
+        # precision and keeps too few digits for the 1e-12 margin
+        with mpmath.workdps(50):
+
+            def term(x):
+                return mpmath.exp(-mpmath.pi * ((x - mpmath.mpf(center)) / width) ** 2)
+
+            brute = float(
+                mpmath.fsum(
+                    dim * mpmath.mpf(base) ** n * (term(n) + term(-n))
+                    for n in range(big_n + 1, stop)
+                )
+            )
         assert _geometric_tail_bound(tw, f, big_n) >= brute * (1 - 1e-12)
 
     def test_slow_growth_under_a_wide_gaussian_is_bounded(self):
