@@ -655,31 +655,54 @@ def resolvent(m: Matrix, lam, ctx: ToleranceContext = DEFAULT_CONTEXT) -> Matrix
 def charpoly(m: Matrix):
     """Monic characteristic polynomial coefficients, highest power first.
 
-    Exact backend only; Faddeev-LeVerrier recursion (the integer divisions
-    are exact over a field of characteristic zero).
+    Exact backend only.  Faddeev-LeVerrier runs on the Gaussian-integer
+    matrix M = d A, d the common denominator of the entries, as (re, im)
+    lists of Python ints: B_1 = M, c_k = -tr(B_k) / k and
+    B_(k+1) = M (B_k + c_k I).  The c_k are the Gaussian-integer
+    coefficients of M's charpoly, so each division by k is exact, and those
+    of A are c_k / d^k.  Of B_n only the trace is formed.
     """
     if m.backend != EXACT:
         raise BackendMismatch("charpoly is an exact-backend primitive")
     n = m.rows
+    re, im, d = _numerators([x for row in m.entries for x in row])
+    real = not any(im)
+    rows_re = [re[i * n:(i + 1) * n] for i in range(n)]
+    rows_im = [im[i * n:(i + 1) * n] for i in range(n)]
+
+    def times(col):
+        """M times one column, as [re list, im list]."""
+        c, e = col
+        if real:
+            return [[sum(map(mul, r, c)) for r in rows_re], e]
+        return [
+            [sum(map(mul, r, c)) - sum(map(mul, s, e)) for r, s in zip(rows_re, rows_im)],
+            [sum(map(mul, r, e)) + sum(map(mul, s, c)) for r, s in zip(rows_re, rows_im)],
+        ]
+
+    # B_1 = M, by columns
+    cols = [[re[j::n], im[j::n]] for j in range(n)]
+    tr_re, tr_im = sum(re[:: n + 1]), sum(im[:: n + 1])
     coeffs = [GR_ONE]
-    b = m
     for k in range(1, n + 1):
-        ck = -(b.trace() / GaussianRational(k))
-        coeffs.append(ck)
-        if k < n:
-            # b <- m (b + ck I), adding ck on the diagonal only
-            rows = [list(row) for row in b.entries]
-            for i in range(n):
-                rows[i][i] = rows[i][i] + ck
-            b = m @ Matrix(rows, EXACT)
+        c_re, c_im = -(tr_re // k), -(tr_im // k)
+        coeffs.append(GaussianRational._raw(c_re, c_im, d**k))
+        if k == n:
+            break
+        for j, (col_re, col_im) in enumerate(cols):
+            col_re[j] += c_re
+            col_im[j] += c_im
+        if k + 1 < n:
+            cols = [times(col) for col in cols]
+            tr_re = sum(col[0][j] for j, col in enumerate(cols))
+            tr_im = sum(col[1][j] for j, col in enumerate(cols))
+        else:
+            # of B_n only the diagonal is formed
+            tr_re = tr_im = 0
+            for r, s, (c, e) in zip(rows_re, rows_im, cols):
+                tr_re += sum(map(mul, r, c)) - sum(map(mul, s, e))
+                tr_im += sum(map(mul, r, e)) + sum(map(mul, s, c))
     return coeffs
-
-
-def _poly_eval_scalar(coeffs, x: GaussianRational) -> GaussianRational:
-    acc = GR_ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 # -- factoring over Q(i) ------------------------------------------------------
@@ -822,38 +845,89 @@ _FAST_ROOT_CANDIDATES = [
 
 def root_candidates(extra=()):
     """``extra`` (e.g. matrix diagonal entries) then the common small
-    Gaussian integers, without repeats."""
+    Gaussian integers, without repeats (compared by reduced triple)."""
+    seen = set()
     candidates = []
-    for cand in list(extra) + _FAST_ROOT_CANDIDATES:
-        if cand not in candidates:
+    for cand in (*extra, *_FAST_ROOT_CANDIDATES):
+        key = (cand._a, cand._b, cand._d)
+        if key not in seen:
+            seen.add(key)
             candidates.append(cand)
     return candidates
+
+
+def _deflated(re, im, z_re, z_im, w):
+    """The quotient of ``re + im i`` (Gaussian-integer coefficients, highest
+    power first) by ``x - (z_re + z_im i) / w``, or None when that is not a
+    root.
+
+    Horner over Z[i] homogenised by powers of w: h_k = z h_(k-1) + c_k w^k
+    is w^k times the k-th Horner value, so h_n = w^n p(z / w), and the
+    quotient's coefficients h_k / w^k come back as the Gaussian integers
+    h_k w^(n-1-k), divided by their content.
+    """
+    h_re = h_im = 0
+    q_re, q_im = [], []
+    wk = 1
+    for c_re, c_im in zip(re, im):
+        h_re, h_im = h_re * z_re - h_im * z_im + c_re * wk, h_re * z_im + h_im * z_re + c_im * wk
+        q_re.append(h_re)
+        q_im.append(h_im)
+        wk *= w
+    if h_re or h_im:
+        return None
+    del q_re[-1], q_im[-1]
+    if w != 1:
+        top = len(q_re) - 1
+        q_re = [h * w ** (top - k) for k, h in enumerate(q_re)]
+        q_im = [h * w ** (top - k) for k, h in enumerate(q_im)]
+    g = math.gcd(*q_re, *q_im)
+    return [h // g for h in q_re], [h // g for h in q_im]
+
+
+def scan_roots(coeffs, candidates):
+    """The candidates that are roots of ``coeffs`` (highest power first),
+    with their algebraic multiplicities, in candidate order, and the
+    cofactor left when they are divided out.
+
+    The denominators are cleared once; each candidate (u + v i) / w is
+    then evaluated by Horner over Z[i] (see ``_deflated``) on what is left
+    of the polynomial, and only at a root is it divided out, as often as
+    it divides.  The cofactor is a list of Gaussian integers, a nonzero
+    multiple of the monic one.
+    """
+    re, im, _ = _numerators(coeffs)
+    pairs = []
+    for cand in candidates:
+        mult = 0
+        while len(re) > 1:
+            quotient = _deflated(re, im, cand._a, cand._b, cand._d)
+            if quotient is None:
+                break
+            re, im = quotient
+            mult += 1
+        if mult:
+            pairs.append((cand, mult))
+        if len(re) == 1:
+            break
+    return pairs, [GaussianRational._raw(a, b, 1) for a, b in zip(re, im)]
 
 
 def gaussian_rational_roots(coeffs, extra_candidates=()):
     """Roots of a monic polynomial that lie in the Gaussian rationals.
 
-    Returns (list of (root, multiplicity), leftover_degree) where the
-    leftover degree counts roots outside the field.  A cheap scan of
-    common candidates (plus ``extra_candidates``, e.g. matrix diagonal
-    entries) deflates obvious roots first; whatever remains is factored
-    over the Gaussian-rational domain, which is exactly the rational-root
-    search the exact backend is restricted to.
+    Returns (list of (root, multiplicity) sorted by real then imaginary
+    part, leftover_degree) where the leftover degree counts roots outside
+    the field.  One integer scan (``scan_roots``) of common candidates plus
+    ``extra_candidates`` (e.g. matrix diagonal entries) finds the obvious
+    roots with their multiplicities; the cofactor it leaves is factored
+    over Q(i), which finds the rest.
     """
-    work = list(coeffs)
-    found = {}
-    candidates = root_candidates(extra_candidates)
-    progress = True
-    while progress and len(work) > 1:
-        progress = False
-        for cand in candidates:
-            while len(work) > 1 and not _poly_eval_scalar(work, cand):
-                work = _poly_divmod(work, [GR_ONE, -cand])[0]
-                found[cand] = found.get(cand, 0) + 1
-                progress = True
+    pairs, rest = scan_roots(coeffs, root_candidates(extra_candidates))
+    found = dict(pairs)
     leftover = 0
-    if len(work) > 1:
-        for factor, mult in factor_gaussian(work):
+    if len(rest) > 1:
+        for factor, mult in factor_gaussian(rest):
             if len(factor) == 2:
                 root = -factor[1]
                 found[root] = found.get(root, 0) + mult

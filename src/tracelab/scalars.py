@@ -87,7 +87,10 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((Fraction(self._a, self._d), Fraction(self._b, self._d)))
+        # a real value equals an int or a Fraction, so it hashes like one
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __bool__(self):
         return bool(self._a or self._b)

@@ -19,8 +19,9 @@ either exhibits a proper subspace (directly, or through the annihilator
 of a proper dual subspace) or proves there is none.  The stages, each of
 which finds a subspace, certifies there is none, or is undecided:
 
-1. the short tier (``delta``, each generator image g, g + g^-1) at cheaply
-   found eigenvalues, then spins of the kernels it left undecided;
+1. the short tier (``delta``, each generator image g, g + g^-1) at
+   eigenvalues and multiplicities from an integer scan, then spins of the
+   kernels it left undecided;
 2. exact only: the structural backstop (radical of the generated
    algebra, then commutant splitting), cheaper than the extended tier;
 3. the extended tier (products, small combinations, ``delta`` g), then
@@ -54,7 +55,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     Span,
-    _poly_eval_scalar,
     charpoly,
     eigenvalues,
     factor_gaussian,
@@ -66,6 +66,7 @@ from .linalg import (
     nullspace,
     resolvent,
     root_candidates,
+    scan_roots,
     span_of,
 )
 from .scalars import (
@@ -354,13 +355,15 @@ def _probe_matrices(m: AdmissibleModel, extended: bool):
 
 
 def _eigen_pairs_for_probe(t: Matrix, ctx: ToleranceContext, thorough: bool = False):
-    """Probe eigenvalues: cheap and possibly partial unless thorough.
+    """Probe eigenvalues with their algebraic multiplicities: cheap and
+    possibly partial unless thorough.
 
     Probing only needs seeds, not a complete spectrum, so the default
-    exact path evaluates the characteristic polynomial at a candidate list
-    (an order of magnitude cheaper than factoring it).  The thorough retry
-    returns every root in the field, and the approx backend the full
-    spectrum.
+    exact path returns the roots among a candidate list (the diagonal, then
+    small Gaussian integers), in that order, from one integer scan of the
+    characteristic polynomial (an order of magnitude cheaper than factoring
+    it).  The thorough retry returns every root in the field, sorted, and
+    the approx backend the clustered spectrum.
     """
     if t.backend == APPROX:
         return eigenvalues(t, ctx)
@@ -368,7 +371,7 @@ def _eigen_pairs_for_probe(t: Matrix, ctx: ToleranceContext, thorough: bool = Fa
     diag = [t.entries[i][i] for i in range(t.rows)]
     if thorough:
         return gaussian_rational_roots(coeffs, diag)[0]
-    return [(lam, None) for lam in root_candidates(diag) if not _poly_eval_scalar(coeffs, lam)]
+    return scan_roots(coeffs, root_candidates(diag))[0]
 
 
 def find_proper_submodule(m: AdmissibleModel):
@@ -401,17 +404,20 @@ def find_proper_submodule(m: AdmissibleModel):
         reducible_unwitnessed = True
         return None
 
-    def norton(t: Matrix, lam, kernels):
+    def norton(t: Matrix, lam, kernels, spun=None):
         """Conclusive test at a geometric-multiplicity-one eigenvalue; an
-        inconclusive one leaves its kernel to the fallback spins."""
-        kernel = nullspace(t - ident.scale(lam), ctx)
+        inconclusive one leaves its kernel to the fallback spins.  ``spun``
+        is the kernel of a simple eigenvalue, already spun to the whole
+        space by ``generalized_seed_spins``."""
+        kernel = nullspace(t - ident.scale(lam), ctx) if spun is None else spun
         if kernel:
             kernels.append((t, lam, kernel))
         if len(kernel) != 1:
             return UNDECIDED
-        sub = spin(kernel, gens, n, backend, ctx)
-        if not sub.is_full():
-            return sub.basis()
+        if spun is None:
+            sub = spin(kernel, gens, n, backend, ctx)
+            if not sub.is_full():
+                return sub.basis()
         kernel_t = nullspace(t.transpose() - ident.scale(lam), ctx)
         if len(kernel_t) != 1:
             return UNDECIDED
@@ -420,15 +426,22 @@ def find_proper_submodule(m: AdmissibleModel):
             return None
         return annihilator_witness(dual) or UNDECIDED
 
-    def generalized_seed_spins(t: Matrix, pairs):
+    def generalized_seed_spins(t: Matrix, pairs, simple):
         # kernels of (t - lam)^p are far better conditioned than simple
         # kernels when the cluster is defective; their spin closures are
-        # accurate submodule candidates
+        # accurate submodule candidates.  A simple eigenvalue's space is
+        # its kernel, kept in ``simple`` for Norton's test; on exact, a
+        # multiplicity of n means the whole space
         for lam, mult in pairs:
-            data = generalized_eigenspace(t, lam, alg_mult=mult, ctx=ctx)
-            if not data.space_basis or data.dim >= n:
+            if mult == 1:
+                space = simple[lam] = nullspace(t - ident.scale(lam), ctx)
+            elif backend == EXACT and mult >= n:
                 continue
-            sub = spin(list(data.space_basis), gens, n, backend, ctx)
+            else:
+                space = generalized_eigenspace(t, lam, alg_mult=mult, ctx=ctx).space_basis
+            if not space or len(space) >= n:
+                continue
+            sub = spin(list(space), gens, n, backend, ctx)
             if 0 < sub.dim < n:
                 return sub.basis()
         return None
@@ -438,11 +451,12 @@ def find_proper_submodule(m: AdmissibleModel):
         kernels = []
         for t in _probe_matrices(m, extended):
             pairs = _eigen_pairs_for_probe(t, ctx, thorough)
-            witness = generalized_seed_spins(t, pairs)
+            simple = {}
+            witness = generalized_seed_spins(t, pairs, simple)
             if witness is not None:
                 return witness
             for lam, _mult in pairs:
-                verdict = norton(t, lam, kernels)
+                verdict = norton(t, lam, kernels, simple.get(lam))
                 if verdict != UNDECIDED:
                     return verdict
         for t, lam, kernel in kernels:

@@ -281,17 +281,20 @@ def probe_matrices(draw):
         for i in range(n)
     ]
     s = random_unimodular_exact(n, random.Random(draw(st.integers(0, 2**16))))
-    return s.inverse() @ Matrix(grid, EXACT) @ s
+    return s.inverse() @ Matrix(grid, EXACT) @ s, diag
 
 
 class TestProbes:
     @SETTINGS
-    @given(t=probe_matrices())
-    def test_charpoly_selects_the_determinant_candidates(self, t):
+    @given(probe=probe_matrices())
+    def test_charpoly_selects_the_determinant_candidates(self, probe):
+        # each root's algebraic multiplicity is its count on the hidden
+        # triangular diagonal
+        t, diag = probe
         n = t.rows
         grid = [list(r) for r in t.entries]
         expected = [
-            (lam, None)
+            (lam, diag.count(lam))
             for lam in root_candidates(grid[i][i] for i in range(n))
             if not ref_det(shifted(grid, lam))
         ]
@@ -305,3 +308,23 @@ class TestProbes:
             value = value * lam + c
         # charpoly(lam) = det(lam I - A) = (-1)^n det(A - lam I)
         assert value == (-1) ** len(grid) * ref_det(shifted(grid, lam))
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_charpoly_of_larger_rational_matrices(self, data):
+        # mixed denominators up to 9 make the common denominator d large,
+        # so the scaling of c_k by d^k is exercised at every degree
+        n = data.draw(st.integers(6, 12))
+        grid = [[data.draw(SCALARS) for _ in range(n)] for _ in range(n)]
+        m = Matrix(grid, EXACT)
+        coeffs = charpoly(m)
+        assert len(coeffs) == n + 1 and coeffs[0] == GR_ONE
+        assert coeffs[1] == -m.trace()
+        assert coeffs[n] == (-1) ** n * m.det()
+        # Cayley-Hamilton by Horner's rule on per-entry products
+        value = [[GR_ZERO] * n for _ in range(n)]
+        for c in coeffs:
+            value = ref_product(value, grid)
+            for i in range(n):
+                value[i][i] = value[i][i] + c
+        assert value == [[GR_ZERO] * n for _ in range(n)]

@@ -1,6 +1,9 @@
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -305,6 +308,30 @@ class TestCli:
         assert main(["suite"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 15
+
+    def test_module_entry_point_runs_the_suite(self):
+        # ``python -m tracelab`` works from a source checkout, where the
+        # ``tracelab`` script may not be installed
+        import tracelab
+
+        env = dict(os.environ, PYTHONPATH=str(Path(tracelab.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tracelab", "suite", "--emit", "structured"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        # the reports are pretty-printed JSON documents, one after another
+        text, reports = done.stdout, []
+        pos = len(text) - len(text.lstrip())
+        while pos < len(text):
+            report, end = json.JSONDecoder().raw_decode(text, pos)
+            reports.append(report)
+            pos = len(text) - len(text[end:].lstrip())
+        assert len(reports) == len(bundled_scenario_paths()) == 17
+        assert all(report["passed"] for report in reports)
 
     def test_suite_exact_output_is_the_stored_reference(self):
         # exact output is byte-identical across changes that do not mean to

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tracelab.errors import ParseError
 from tracelab.scalars import (
@@ -108,3 +110,27 @@ def test_coerce_zero_one(backend, half, gaussian):
     assert not zero(backend)
     assert zero(backend) + half == half
     assert one(backend) * gaussian == gaussian
+
+
+RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+VALUES = st.one_of(
+    st.integers(-50, 50),
+    RATIONALS,
+    st.builds(GaussianRational, RATIONALS),
+    st.builds(GaussianRational, RATIONALS, RATIONALS),
+)
+
+
+@given(a=VALUES, b=VALUES, q=RATIONALS)
+def test_equal_values_hash_alike(a, b, q):
+    # across GaussianRational, int and Fraction, as sets and dicts require
+    for x, y in ((a, b), (GaussianRational(q), q), (GaussianRational(q.numerator), q.numerator)):
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_a_real_value_is_found_among_ints_and_fractions():
+    assert GaussianRational(3) in {3}
+    assert 3 in {GaussianRational(3)}
+    assert Fraction(1, 2) in {GaussianRational(Fraction(1, 2))}
+    assert GaussianRational(1, 1) not in {1}

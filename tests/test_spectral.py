@@ -206,6 +206,38 @@ class TestLateSearchStages:
         # cheap: delta, g, g + g^-1, then delta g; complete: the short tier
         assert calls == {"backstop": 1, "cheap": 4, "complete": 3}
 
+    def test_a_simple_eigenvalue_is_worked_on_once(self, monkeypatch):
+        # the swap and the sign flip generate the dihedral group of order 8,
+        # simple in dimension 2; delta, their product, is the quarter turn
+        # with the simple eigenvalues +-i, and Norton's test at i certifies
+        # at the first probe
+        from tracelab import linalg, spectral
+
+        swap = exact_matrix([[0, 1], [1, 0]])
+        flip = exact_matrix([[1, 0], [0, -1]])
+        turn = swap @ flip
+        m = model([swap, flip], turn)
+        kernels = Counter()
+        chains = []
+        original = linalg.nullspace
+
+        def counted_nullspace(mat, ctx=DEFAULT_CONTEXT):
+            kernels[mat] += 1
+            return original(mat, ctx)
+
+        def counted_chain(*args, **kwargs):
+            chains.append(args)
+            return linalg.generalized_eigenspace(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "nullspace", counted_nullspace)
+        monkeypatch.setattr(spectral, "nullspace", counted_nullspace)
+        monkeypatch.setattr(spectral, "generalized_eigenspace", counted_chain)
+        assert find_proper_submodule(m) is None
+        assert chains == []
+        i = Matrix.identity(2, EXACT).scale(gr(0, 1))
+        # one kernel at each eigenvalue, then the transposed one at i
+        assert kernels == {turn - i: 1, turn + i: 1, turn.transpose() - i: 1}
+
 
 class TestClassAssignment:
     def test_each_factor_key_is_computed_once(self, monkeypatch):
