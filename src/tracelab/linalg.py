@@ -1113,38 +1113,3 @@ def intertwiner_space(a_gens, b_gens, ctx: ToleranceContext = DEFAULT_CONTEXT):
         out.append(Matrix(grid, backend))
     return out
 
-
-def minimal_polynomial(m: Matrix, ctx: ToleranceContext = DEFAULT_CONTEXT):
-    """Monic minimal polynomial coefficients (highest power first).
-
-    Exact backend: detects the first linear dependency among the powers
-    of ``m`` and solves for it.
-    """
-    if m.backend != EXACT:
-        raise BackendMismatch("minimal_polynomial is exact-only")
-    n = m.rows
-    vecs = []
-    power = Matrix.identity(n, EXACT)
-    span = Span(n * n, EXACT, ctx)
-    while True:
-        flat = tuple(x for row in power.entries for x in row)
-        if not span.add(flat):
-            break
-        vecs.append(flat)
-        power = power @ m
-    k = len(vecs)  # degree of the minimal polynomial
-    target = tuple(x for row in power.entries for x in row)
-    cols = [list(v) for v in vecs]
-    system = Matrix(
-        [[cols[j][i] for j in range(k)] for i in range(n * n)], EXACT
-    )
-    aug = Matrix([[target[i]] for i in range(n * n)], EXACT)
-    red, pivots, _ = _rref(
-        [list(system.entries[i]) + list(aug.entries[i]) for i in range(n * n)]
-    )
-    sol = [GR_ZERO] * k
-    for row_idx, p in enumerate(pivots):
-        if p < k:
-            sol[p] = red[row_idx][k]
-    # m^k = sum sol[j] m^j  =>  x^k - sum sol[j] x^j
-    return [GR_ONE] + [-sol[k - 1 - j] for j in range(k)]

@@ -231,7 +231,8 @@ def one(backend: str):
     return _ONE[backend]
 
 # "3/2-1/4i", "i", "-2", "5i" ...  one or two signed rational terms, the
-# imaginary one marked by a trailing i.
+# imaginary one marked by a trailing i; a second term needs its sign and
+# the other kind.
 _TERM = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*(i)?\s*")
 
 
@@ -241,9 +242,7 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
     if not s:
         raise ParseError("empty scalar string")
     pos = 0
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    seen = 0
+    parts = {}  # is_imaginary -> value
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or m.end() == pos:
@@ -251,21 +250,18 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
         sign, mag, imag = m.groups()
         if mag is None and imag is None:
             raise ParseError(f"cannot parse scalar {text!r}")
+        if pos and not sign:
+            raise ParseError(f"unsigned second term in scalar {text!r}")
+        if bool(imag) in parts:
+            kind = "imaginary" if imag else "real"
+            raise ParseError(f"two {kind} terms in scalar {text!r}")
         try:
             value = Fraction(mag) if mag is not None else Fraction(1)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in scalar {text!r}") from None
-        if sign == "-":
-            value = -value
-        if imag:
-            im_part += value
-        else:
-            re_part += value
+        parts[bool(imag)] = -value if sign == "-" else value
         pos = m.end()
-        seen += 1
-        if seen > 2:
-            raise ParseError(f"too many terms in scalar {text!r}")
-    return GaussianRational(re_part, im_part)
+    return GaussianRational(parts.get(False, 0), parts.get(True, 0))
 
 
 def format_complex(z: complex) -> str:

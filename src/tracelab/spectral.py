@@ -23,15 +23,17 @@ which finds a subspace, certifies there is none, or is undecided:
    eigenvalues and multiplicities from an integer scan, then spins of the
    kernels it left undecided;
 2. exact only: the structural backstop (radical of the generated
-   algebra, then commutant splitting), cheaper than the extended tier;
+   algebra, then commutant elements read by their charpolys), cheaper
+   than the extended tier;
 3. the extended tier (products, small combinations, ``delta`` g), then
    spins of its own undecided kernels;
 4. exact: the short tier with complete spectra; approx: the backstop.
 
-A backstop certificate is not trusted while a proper dual subspace is
-left without a witness: the exact search goes from stage 2 to stage 4,
-and the approx search skips its backstop.  When every stage is undecided
-`IrreducibilityUndecided` is raised rather than guessed away.
+On approx, a backstop certificate is not trusted while a proper dual
+subspace is left without a witness, so the search skips its backstop; on
+exact the annihilator of a proper dual subspace is always a witness.
+When every stage is undecided `IrreducibilityUndecided` is raised rather
+than guessed away.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .linalg import (
     generalized_eigenspace,
     generalized_eigenspaces,
     intertwiner_space,
-    minimal_polynomial,
     nullspace,
     resolvent,
     root_candidates,
@@ -393,8 +394,9 @@ def find_proper_submodule(m: AdmissibleModel):
 
     def annihilator_witness(dual: Span):
         # the annihilator of a proper dual submodule is a proper submodule,
-        # but a defective dual basis can be too skew numerically; accept it
-        # only when re-spinning confirms invariance at a proper dimension
+        # always on exact; on approx a defective dual basis can be too skew
+        # numerically, so accept it only when re-spinning confirms
+        # invariance at a proper dimension
         nonlocal reducible_unwitnessed
         ann = nullspace(Matrix([list(v) for v in dual.basis()], backend), ctx)
         if ann:
@@ -473,13 +475,10 @@ def find_proper_submodule(m: AdmissibleModel):
         return UNDECIDED
 
     verdict = probe_stage(extended=False, thorough=False)
-    distrusted = False
     if verdict == UNDECIDED and backend == EXACT:
         # the structural backstop is cheaper than the long exact probe tail
         verdict = _structural_backstop(m)
-        if verdict is None and reducible_unwitnessed:
-            verdict, distrusted = UNDECIDED, True
-    if verdict == UNDECIDED and not distrusted:
+    if verdict == UNDECIDED:
         verdict = probe_stage(extended=True, thorough=False)
     if verdict == UNDECIDED:
         if backend == EXACT:
@@ -556,6 +555,11 @@ def _poly_eval(coeffs, mat: Matrix) -> Matrix:
 def _structural_backstop(m: AdmissibleModel):
     """Radical / commutant analysis.
 
+    On exact each non-scalar commutant element c is read through its
+    charpoly: for p its first factor, p(c) has a proper kernel, a
+    submodule, unless p(c) = 0; then c generates a field, and a field that
+    fills the commutant makes the (semisimple) module simple.
+
     Returns a submodule basis, None (certified simple), or ``UNDECIDED``.
     """
     n = m.dim
@@ -588,23 +592,21 @@ def _structural_backstop(m: AdmissibleModel):
             if 0 < len(kernel) < n:
                 return kernel
             continue
-        coeffs = minimal_polynomial(c, ctx)
-        factors = _minpoly_factors(coeffs)
-        if len(factors) == 1 and factors[0][1] == 1:
-            # c generates a field; conclusive only if it fills the commutant
-            if factors[0][0] == len(commutant):
-                return None
-            continue
-        # reducible or repeated minimal polynomial: split along one factor
-        first = factors[0][2]
-        kernel = nullspace(_poly_eval(first, c), ctx)
-        if 0 < len(kernel) < n:
-            return kernel
+        p = _minpoly_factors(charpoly(c))[0][2]
+        split = _poly_eval(p, c)
+        if not split.is_zero(ctx):
+            # p divides the charpoly, so p(c) is singular: its kernel is proper
+            return nullspace(split, ctx)
+        # p(c) = 0: p is c's minimal polynomial and the charpoly's only
+        # factor, so c generates a field; conclusive only if it fills the
+        # commutant
+        if len(p) - 1 == len(commutant):
+            return None
     return UNDECIDED
 
 
 def _minpoly_factors(coeffs):
-    """Factor an exact minimal polynomial over the Gaussian rationals.
+    """Factor an exact characteristic polynomial over the Gaussian rationals.
 
     Returns a list of (degree, multiplicity, monic coefficient list),
     sorted by degree, then falling multiplicity, then coefficients, so the
@@ -706,26 +708,19 @@ def _key_compatible(a: AdmissibleModel, b: AdmissibleModel) -> bool:
 
 
 def is_isomorphic(a: AdmissibleModel, b: AdmissibleModel) -> bool:
-    """Isomorphism of representations, decided by an invertible intertwiner."""
+    """Isomorphism of two certified-simple models.
+
+    Both inputs must be simple: by Schur's lemma a nonzero intertwiner
+    between simple modules is invertible, so the first basis intertwiner
+    decides.  On non-simple inputs the answer means nothing.
+    """
     if len(a.generators) != len(b.generators):
         raise ValueError("models have different numbers of generators")
     if not _key_compatible(a, b):
         return False
     ctx = a.context
     basis = intertwiner_space(list(a.generators), list(b.generators), ctx)
-    if not basis:
-        return False
-    for t in basis:
-        if t.is_invertible(ctx):
-            return True
-    # non-simple callers: try a couple of combinations before giving up
-    if len(basis) > 1:
-        acc = basis[0]
-        for t in basis[1:]:
-            acc = acc + t.scale(2)
-            if acc.is_invertible(ctx):
-                return True
-    return False
+    return bool(basis) and basis[0].is_invertible(ctx)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .errors import (
     TailBoundExceedsTolerance,
 )
 from .linalg import Matrix, _poly_derivative, _poly_divmod, _stripped
-from .scalars import APPROX, DEFAULT_CONTEXT, ToleranceContext, one, zero
+from .scalars import APPROX, DEFAULT_CONTEXT, ToleranceContext, one
 from .spectral import AdmissibleModel, default_resolvent_sample
 
 TWO_PI = 2.0 * math.pi
@@ -95,16 +95,6 @@ class TorusTwist:
     def theta_data(self):
         """(theta_j, m_j) pairs on the normalized branch."""
         return [(log_branch(a), m) for a, m in self.jordan_data()]
-
-    def monodromy(self) -> Matrix:
-        blocks = []
-        for a, size in self.blocks:
-            grid = [
-                [a if i == j else (one(APPROX) if j == i + 1 else zero(APPROX)) for j in range(size)]
-                for i in range(size)
-            ]
-            blocks.append(Matrix(grid, APPROX))
-        return Matrix.block_diag(blocks)
 
     def trace_power(self, n: int) -> complex:
         """tr(omega(1)^n) = sum_j m_j a_j^n; nilpotent parts are traceless."""

@@ -23,7 +23,6 @@ from tracelab.linalg import (
     gaussian_rational_roots,
     generalized_eigenspaces,
     intertwiner_space,
-    minimal_polynomial,
     nullspace,
     rank,
     Span,
@@ -372,14 +371,6 @@ class TestPolynomials:
         assert [str(c) for c in coeffs] == ["1", "0", "0", "-2"]
         roots, leftover = gaussian_rational_roots(coeffs)
         assert roots == [] and leftover == 3
-
-    def test_minimal_polynomial_of_jordan(self):
-        j3 = exact_matrix([[3, 1], [0, 3]])
-        assert [str(c) for c in minimal_polynomial(j3)] == ["1", "-6", "9"]
-        assert [str(c) for c in minimal_polynomial(Matrix.identity(3, EXACT))] == [
-            "1",
-            "-1",
-        ]
 
     def test_charpoly_requires_exact(self):
         with pytest.raises(BackendMismatch):

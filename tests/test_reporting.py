@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import json
 import os
@@ -101,6 +102,11 @@ MALFORMED_DISCRETE = {
 SUITE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "suite.json"
 # and for every variant of its exact ladder
 LADDER_REFERENCE = SUITE_REFERENCE.with_name("ladder-exact.json")
+# sha256 of the structured reports of the 13 non-torus bundled scenarios,
+# concatenated in bundle order; they use integer arithmetic only, so the
+# digest holds on any machine.  A change that means to alter these reports
+# updates it and says so.
+EXACT_SUITE_SHA256 = "5d55bf56e5e30e3723388d633d29e92dd2a119d623e54a915a75efc346544cd5"
 
 
 def benchmark_workloads():
@@ -286,6 +292,24 @@ class TestCli:
         assert main(["verify", str(path)]) == 2
         assert "generators[0]: singular generator image" in capsys.readouterr().err
 
+    def test_unsigned_second_term_is_input_error(self, tmp_path, capsys):
+        # a typo in an entry is an input error, not some other model
+        path = tmp_path / "typo.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "id": "typo",
+                    "case": "spectral-model",
+                    "backend": "exact",
+                    "generators": [[["1 2", "0"], ["0", "1"]]],
+                    "delta": {"scalar": "2"},
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["verify", str(path)]) == 2
+        assert "'1 2'" in capsys.readouterr().err
+
     def test_filtration_requires_model_case(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text(minimal_torus_scenario(), encoding="utf-8")
@@ -342,6 +366,12 @@ class TestCli:
         paths = {path.stem: path for path in bundled_scenario_paths()}
         for name, text in exact.items():
             assert emit(run(load_scenario(paths[name])), "structured") == text, name
+
+    def test_exact_suite_output_has_the_pinned_digest(self):
+        paths = [p for p in bundled_scenario_paths() if not p.name.startswith("torus-")]
+        assert len(paths) == 13
+        text = "".join(emit(run(load_scenario(p)), "structured") for p in paths)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EXACT_SUITE_SHA256
 
     def test_exact_ladder_output_is_the_stored_reference(self):
         # the Z/nZ Jordan items call the radical/commutant backstop 11 times

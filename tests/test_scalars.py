@@ -45,6 +45,9 @@ def test_division_by_conjugate_norm():
         ("2/5", GaussianRational(Fraction(2, 5))),
         ("-2+5i", GaussianRational(-2, 5)),
         ("1+1i", GaussianRational(1, 1)),
+        ("3 i", GaussianRational(0, 3)),
+        ("i+1", GaussianRational(1, 1)),
+        ("+3", GaussianRational(3)),
     ],
 )
 def test_parse_round_trip(text, expected):
@@ -60,6 +63,13 @@ def test_parse_rejects_garbage():
         parse_gaussian_rational("1+2j+3")
     with pytest.raises(ParseError):
         parse_gaussian_rational("x")
+
+
+@pytest.mark.parametrize("text", ["1 2", "1/2 1/3", "1+2", "i-i", "2i3", "i 3"])
+def test_parse_rejects_an_unsigned_or_same_kind_second_term(text):
+    # a second term needs its own sign and the other kind
+    with pytest.raises(ParseError):
+        parse_gaussian_rational(text)
 
 
 def test_tolerance_context_scaling():

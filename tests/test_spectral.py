@@ -238,6 +238,35 @@ class TestLateSearchStages:
         # one kernel at each eigenvalue, then the transposed one at i
         assert kernels == {turn - i: 1, turn + i: 1, turn.transpose() - i: 1}
 
+    @pytest.mark.parametrize("other,classes", [([[0, 2], [1, 0]], 1), ([[0, 3], [1, 0]], 2)])
+    def test_the_backstop_splits_along_a_commutant_element(self, monkeypatch, other, classes):
+        # S = Q(i)^2 under [[0, 2], [1, 0]] (eigenvalues +-sqrt(2)) and S'
+        # under [[0, 3], [1, 0]] (+-sqrt(3)) leave every probe undecided, and
+        # S + S and S + S' have a radical-free algebra: only the commutant
+        # splits them, through the kernel of p(c)
+        from tracelab import spectral
+
+        g = exact_matrix([[0, 2], [1, 0]])
+        gen = Matrix.block_diag([g, exact_matrix(other)])
+        m = model([gen], gen + gen.inverse())
+        data = composition_series_data(m)
+        assert [f.dim for f in data.factors] == [2, 2]
+        assert len(data.classes) == classes
+
+        evaluated = []
+        verdicts = []
+        poly_eval = spectral._poly_eval
+        backstop = spectral._structural_backstop
+        monkeypatch.setattr(
+            spectral, "_poly_eval", lambda coeffs, mat: evaluated.append(coeffs) or poly_eval(coeffs, mat)
+        )
+        monkeypatch.setattr(
+            spectral, "_structural_backstop", lambda mm: verdicts.append(backstop(mm)) or verdicts[-1]
+        )
+        witness = find_proper_submodule(m)
+        assert len(witness) == 2 and len(evaluated) == 1
+        assert verdicts == [witness]
+
 
 class TestClassAssignment:
     def test_each_factor_key_is_computed_once(self, monkeypatch):
